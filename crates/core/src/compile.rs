@@ -20,7 +20,7 @@ use crate::shape::{enumerate_shapes, Shape};
 use crate::slots::{SlotKey, SlotRegistry};
 use crate::term::{expand_distinct, DistinctTerm};
 use crate::CompileError;
-use agq_circuit::{Circuit, CircuitBuilder, CircuitStats, ConstRef, GateDef, GateId};
+use agq_circuit::{Circuit, CircuitBuilder, CircuitStats, ConstRef, EvalPlan, GateDef, GateId};
 use agq_graph::Graph;
 use agq_logic::{NormalForm, Var};
 use agq_semiring::Semiring;
@@ -79,8 +79,9 @@ pub struct CompileReport {
 pub struct CompiledQuery<S> {
     /// The circuit (Theorem 6 output).
     pub circuit: Arc<Circuit>,
-    /// Input slot identities.
-    pub slots: SlotRegistry,
+    /// Input slot identities, shareable with every index that valuates
+    /// the same circuit.
+    pub slots: Arc<SlotRegistry>,
     /// Coefficient table for [`agq_circuit::ConstRef::Lit`] gates.
     pub lits: Vec<S>,
     /// Free variables in query-tuple order.
@@ -89,7 +90,25 @@ pub struct CompiledQuery<S> {
     pub report: CompileReport,
 }
 
-/// Compile a normalized weighted expression against a structure.
+impl<S> CompiledQuery<S> {
+    /// Derive the evaluation plan every state over this query shares:
+    /// adjacency CSR plus memoized peek cones for the `FreeVar` indicator
+    /// slots (their cone topology is static and query-bounded, so point
+    /// queries become one precomputed-cone sweep).
+    pub fn eval_plan(&self) -> EvalPlan {
+        let cone_slots: Vec<u32> = self
+            .slots
+            .iter()
+            .filter(|(_, key)| matches!(key, SlotKey::FreeVar(..)))
+            .map(|(slot, _)| slot)
+            .collect();
+        EvalPlan::with_cones(self.circuit.clone(), &cone_slots)
+    }
+}
+
+/// Compile a normalized weighted expression against a structure, with
+/// the free variables the normal form mentions as the query tuple
+/// ([`compile_query`] at `nf.free_vars()`).
 ///
 /// The circuit depends on the structure and (in static-atom mode) its
 /// relations, but **not** on any weight values — weights are circuit
@@ -99,7 +118,25 @@ pub fn compile<S: Semiring>(
     nf: &NormalForm<S>,
     opts: &CompileOptions,
 ) -> Result<CompiledQuery<S>, CompileError> {
-    let free_vars = nf.free_vars();
+    compile_query(a, nf, nf.free_vars(), opts)
+}
+
+/// [`compile`] with the query tuple stated by the caller: `free_vars`
+/// (ascending, a superset of `nf.free_vars()`) fixes the positions of the
+/// `v_i` indicator inputs. This is Theorem 8's closed form
+/// `Σ_x̄ f · Π_i v_i(x_i)`: **every** term reads every `v_i`, also one
+/// that does not constrain `x_i` (a disjunct of `φ`, or a variable the
+/// normal form simplified away), so the circuit valuates to `f(ā)` under
+/// the point-query indicators *and* to one full monomial
+/// `e¹_{a₁}⋯e^k_{a_k}` per answer under Section 6's generators.
+pub fn compile_query<S: Semiring>(
+    a: &Structure,
+    nf: &NormalForm<S>,
+    free_vars: Vec<Var>,
+    opts: &CompileOptions,
+) -> Result<CompiledQuery<S>, CompileError> {
+    debug_assert!(free_vars.windows(2).all(|w| w[0] < w[1]));
+    debug_assert!(nf.free_vars().iter().all(|v| free_vars.contains(v)));
     assert!(
         free_vars.len() <= u8::MAX as usize,
         "too many free variables"
@@ -181,7 +218,7 @@ pub fn compile<S: Semiring>(
     };
 
     let threads = match opts.threads {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        0 => crate::available_cores(),
         t => t,
     }
     .min(subsets.len())
@@ -293,7 +330,7 @@ pub fn compile<S: Semiring>(
     report.stats = circuit.stats();
     Ok(CompiledQuery {
         circuit: Arc::new(circuit),
-        slots: emit.slots,
+        slots: Arc::new(emit.slots),
         lits,
         free_vars,
         report,

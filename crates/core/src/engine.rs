@@ -31,20 +31,12 @@
 //! scratch, which is what batch workers and shard read-locks use.
 
 use crate::compile::CompiledQuery;
-use crate::slots::SlotKey;
+use crate::slots::{AtomSlots, SlotKey};
 use agq_circuit::{DynEvaluator, EvalPlan, FiniteMaint, PeekScratch, PermMaint, RingMaint};
 use agq_perm::SegTreePerm;
 use agq_semiring::Semiring;
 use agq_structure::{Elem, RelId, Tuple, WeightId, WeightedStructure};
 use std::sync::Arc;
-
-/// `std::thread::available_parallelism()` re-reads cgroup limits from the
-/// filesystem on every call (~10µs on Linux) — far too slow for per-batch
-/// dispatch decisions. Resolve it once per process.
-fn available_cores() -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
 
 /// One Gaifman-preserving database update: set the membership of `tuple`
 /// in relation `rel`. The shared update language of every index bound to
@@ -94,8 +86,10 @@ impl TupleUpdate {
 /// any engine layer can carry a sink without knowing the on-disk format;
 /// `agq-persist` provides the checksummed file-backed implementation.
 pub trait WalSink: Send {
-    /// Append one committed batch under sequence number `lsn`.
-    fn append_batch(&mut self, lsn: u64, updates: &[TupleUpdate]) -> std::io::Result<()>;
+    /// Append one committed batch under sequence number `lsn`. The
+    /// updates are borrowed from the caller's (coalesced) batch, so
+    /// journaling never clones a tuple.
+    fn append_batch(&mut self, lsn: u64, updates: &[&TupleUpdate]) -> std::io::Result<()>;
 
     /// Flush buffered records to durable storage.
     fn flush(&mut self) -> std::io::Result<()> {
@@ -162,7 +156,7 @@ impl DurabilityPolicy {
         &self,
         sink: &mut dyn WalSink,
         lsn: u64,
-        updates: &[TupleUpdate],
+        updates: &[&TupleUpdate],
     ) -> std::io::Result<()> {
         let attempts = self.attempts.max(1);
         let mut delay = self.backoff;
@@ -263,22 +257,14 @@ impl<S: Semiring, P: PermMaint<S>> QueryEngine<S, P> {
     /// with memoized cones for every `FreeVar` indicator slot.
     pub fn new(compiled: CompiledQuery<S>, weights: &WeightedStructure<S>) -> Self {
         let compiled = Arc::new(compiled);
-        let plan = Arc::new(Self::build_plan(&compiled));
+        let plan = Arc::new(compiled.eval_plan());
         Self::from_parts(compiled, plan, weights)
     }
 
-    /// Derive the shared evaluation plan of a compiled query: adjacency
-    /// CSR plus memoized peek cones for the `FreeVar` indicator slots
-    /// (their cone topology is static and query-bounded, so point queries
-    /// become one precomputed-cone sweep).
+    /// Derive the shared evaluation plan of a compiled query
+    /// ([`CompiledQuery::eval_plan`]).
     pub fn build_plan(compiled: &CompiledQuery<S>) -> EvalPlan {
-        let cone_slots: Vec<u32> = compiled
-            .slots
-            .iter()
-            .filter(|(_, key)| matches!(key, SlotKey::FreeVar(..)))
-            .map(|(slot, _)| slot)
-            .collect();
-        EvalPlan::with_cones(compiled.circuit.clone(), &cone_slots)
+        compiled.eval_plan()
     }
 
     /// Instantiate a mutable engine *state* over shared plan halves —
@@ -454,7 +440,7 @@ impl<S: Semiring, P: PermMaint<S>> QueryEngine<S, P> {
         P: Sync,
     {
         let threads = match threads {
-            0 => available_cores(),
+            0 => crate::available_cores(),
             t => t,
         }
         .min(tuples.len())
@@ -573,18 +559,30 @@ impl<S: Semiring, P: PermMaint<S>> QueryEngine<S, P> {
     /// pre-batch state, so which duplicate wins is unspecified: callers
     /// must guarantee distinctness.
     pub fn apply_batch_coalesced(&mut self, updates: &[&TupleUpdate]) -> usize {
-        let mut patches = std::mem::take(&mut self.patch_buf);
-        patches.clear();
+        let mut patches = self.take_patches();
         let mut applied = 0usize;
         for u in updates {
-            if self.stage_atom(u.rel, &u.tuple, u.present, &mut patches) {
+            if let Some(slots) = self.compiled.slots.atom_slots(u.rel, &u.tuple) {
+                self.stage_slots(slots, u.present, &mut patches);
                 applied += 1;
             }
         }
-        self.eval.set_inputs(&patches);
-        patches.clear();
-        self.patch_buf = patches;
+        self.commit_patches(patches);
         applied
+    }
+
+    /// Apply a coalesced batch whose indicator slots are **already
+    /// resolved** ([`crate::SlotRegistry::atom_slots`] on this query's
+    /// registry, or on one with the same numbering): the form an engine
+    /// that feeds several valuations of one circuit uses, so the
+    /// `(rel, tuple)` hash lookups happen once per update, not once per
+    /// valuation. One dirty-propagation sweep, net no-ops dropped.
+    pub fn apply_resolved(&mut self, staged: &[(AtomSlots, bool)]) {
+        let mut patches = self.take_patches();
+        for &(slots, present) in staged {
+            self.stage_slots(slots, present, &mut patches);
+        }
+        self.commit_patches(patches);
     }
 
     /// Dynamic-atom mode only: insert/remove a tuple of relation `r`
@@ -592,25 +590,18 @@ impl<S: Semiring, P: PermMaint<S>> QueryEngine<S, P> {
     /// compiled away as structural zeros and return false). This is the
     /// batch path at size one.
     pub fn set_atom(&mut self, r: RelId, t: &[Elem], present: bool) -> bool {
-        let mut patches = std::mem::take(&mut self.patch_buf);
-        patches.clear();
-        let staged = self.stage_atom(r, t, present, &mut patches);
-        self.eval.set_inputs(&patches);
-        patches.clear();
-        self.patch_buf = patches;
-        staged
+        match self.compiled.slots.atom_slots(r, t) {
+            Some(slots) => {
+                self.apply_resolved(&[(slots, present)]);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Stage the slot patches of one atom flip into `patches`, skipping
-    /// slots already at the target value (net no-ops). Returns whether the
-    /// tuple has compiled atom slots at all.
-    fn stage_atom(&self, r: RelId, t: &[Elem], present: bool, patches: &mut Vec<(u32, S)>) -> bool {
-        let tuple = Tuple::new(t);
-        let pos = self.compiled.slots.lookup(&SlotKey::AtomPos(r, tuple));
-        let neg = self.compiled.slots.lookup(&SlotKey::AtomNeg(r, tuple));
-        if pos.is_none() && neg.is_none() {
-            return false;
-        }
+    /// slots already at the target value (net no-ops).
+    fn stage_slots(&self, (pos, neg): AtomSlots, present: bool, patches: &mut Vec<(u32, S)>) {
         let (pv, nv) = if present {
             (S::one(), S::zero())
         } else {
@@ -626,6 +617,20 @@ impl<S: Semiring, P: PermMaint<S>> QueryEngine<S, P> {
                 patches.push((slot, nv));
             }
         }
-        true
+    }
+
+    /// The reusable patch buffer, emptied (a point query leaves its
+    /// indicator patches behind).
+    fn take_patches(&mut self) -> Vec<(u32, S)> {
+        let mut patches = std::mem::take(&mut self.patch_buf);
+        patches.clear();
+        patches
+    }
+
+    /// Commit staged patches in one sweep and hand the buffer back.
+    fn commit_patches(&mut self, mut patches: Vec<(u32, S)>) {
+        self.eval.set_inputs(&patches);
+        patches.clear();
+        self.patch_buf = patches;
     }
 }

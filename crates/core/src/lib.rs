@@ -52,17 +52,26 @@ mod slots;
 mod term;
 
 pub use batch::{coalesce_updates, FxBuildHasher, FxHashSet, FxHasher};
-pub use compile::{compile, CompileOptions, CompileReport, CompiledQuery};
+pub use compile::{compile, compile_query, CompileOptions, CompileReport, CompiledQuery};
 pub use engine::{
     DurabilityPolicy, FiniteEngine, GeneralEngine, PartsError, QueryEngine, RingEngine,
     TupleUpdate, WalFailure, WalSink,
 };
 pub use qe::eliminate_quantifiers;
 pub use shape::{enumerate_shapes, Shape};
-pub use slots::{SlotKey, SlotRegistry};
+pub use slots::{AtomSlots, SlotKey, SlotRegistry};
 pub use term::DistinctTerm;
 
 use std::fmt;
+
+/// Worker threads worth spawning. `std::thread::available_parallelism()`
+/// re-reads cgroup limits from the filesystem on every call (~10µs on
+/// Linux) — far too slow for per-batch dispatch decisions — so it is
+/// resolved once per process.
+pub fn available_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 /// Errors surfaced by compilation.
 #[derive(Debug, Clone, PartialEq, Eq)]

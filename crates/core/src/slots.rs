@@ -19,6 +19,10 @@ pub enum SlotKey {
     AtomNeg(RelId, Tuple),
 }
 
+/// The positive / negative indicator slots compiled for one relational
+/// tuple (either may be absent): what an update to that tuple writes.
+pub type AtomSlots = (Option<u32>, Option<u32>);
+
 /// Dense slot numbering with key ↔ index maps.
 #[derive(Default, Debug, Clone)]
 pub struct SlotRegistry {
@@ -46,6 +50,23 @@ impl SlotRegistry {
     /// The slot for `key`, if any gate reads it.
     pub fn lookup(&self, key: &SlotKey) -> Option<u32> {
         self.map.get(key).copied()
+    }
+
+    /// The indicator slots of `(r, t)` in dynamic-atom mode — both
+    /// lookups an update needs, resolved once for every valuation of the
+    /// circuit. `None` when the compiler materialized neither (the tuple
+    /// is not a Gaifman clique, or cannot influence the query).
+    pub fn atom_slots(&self, r: RelId, t: &[Elem]) -> Option<AtomSlots> {
+        let t = Tuple::new(t);
+        let pos = self.lookup(&SlotKey::AtomPos(r, t));
+        let neg = self.lookup(&SlotKey::AtomNeg(r, t));
+        (pos.is_some() || neg.is_some()).then_some((pos, neg))
+    }
+
+    /// Whether `other` numbers the same keys the same way, so a slot id
+    /// resolved in one registry is valid in the other.
+    pub fn same_numbering(&self, other: &SlotRegistry) -> bool {
+        self.keys == other.keys
     }
 
     /// The key of a slot.

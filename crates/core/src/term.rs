@@ -46,11 +46,18 @@ pub struct RelLit {
 
 /// Expand one normalized sum term over all variable partitions consistent
 /// with its (in)equality literals. `free_order` fixes the query-tuple
-/// positions of the free variables.
+/// positions of the free variables; a query variable the term does not
+/// mention joins it as an unconstrained variable, so every expanded term
+/// reads every `v_i` (the closed form `Σ_x̄ f · Π_i v_i(x_i)` of Theorem
+/// 8 — under point-query indicators the extra `Σ_x v_i(x)` is `1`).
 pub fn expand_distinct<S: Semiring>(term: &SumTerm<S>, free_order: &[Var]) -> Vec<DistinctTerm<S>> {
-    // All variables of the term: summed ∪ free, in a fixed order.
+    // All variables of the term: summed ∪ free ∪ query, in a fixed order.
     let mut vars: Vec<Var> = term.sum_vars.clone();
-    for v in term.free_vars() {
+    for v in term
+        .free_vars()
+        .into_iter()
+        .chain(free_order.iter().copied())
+    {
         if !vars.contains(&v) {
             vars.push(v);
         }
@@ -118,16 +125,8 @@ pub fn expand_distinct<S: Semiring>(term: &SumTerm<S>, free_order: &[Var]) -> Ve
             dt.weights.push((*w, args));
         }
         for (pos, fv) in free_order.iter().enumerate() {
-            // a free variable of the query may be absent from this term;
-            // then the term does not constrain that position, which is
-            // wrong — the engine must still see a v_pos factor so that
-            // querying (a_1..a_r) selects tuples. Terms not mentioning a
-            // free variable simply never arise from `normalize` (free
-            // vars of the normal form are per-term), so only attach
-            // factors for variables this term mentions.
-            if let Some(vi) = vars.iter().position(|&w| w == *fv) {
-                dt.free_reads.push((pos as u8, block_of[vi]));
-            }
+            dt.free_reads
+                .push((pos as u8, block_of[index_of(*fv) as usize]));
         }
         // Deduplicate comparability pairs.
         dt.comparability.sort_unstable();

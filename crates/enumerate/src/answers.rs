@@ -1,29 +1,74 @@
 //! Result (D): constant-delay enumeration of first-order query answers,
 //! dynamic under Gaifman-preserving updates (Theorem 24).
 //!
-//! Following Section 6 of the paper: for `φ(x₁…x_k)`, build the closed
-//! weighted expression `f = Σ_x̄ [φ] · w₁(x₁)⋯w_k(x_k)` where `w_i(a)`
-//! is the fresh generator `e^i_a` of the free semiring. Then `f_A`'s
-//! formal sum has exactly one summand `e¹_{a₁}⋯e^k_{a_k}` per answer
-//! `(a₁…a_k)`, and the circuit enumerator of [`crate::machine`] yields
-//! them with constant delay and no duplicates. In dynamic mode the
-//! relations are compiled as 0/1 inputs (Lemma 40's `v±_R` weights), so
-//! tuple insertions/removals that keep the Gaifman graph intact are O(1)
-//! maintenance.
+//! # One circuit, three valuations
+//!
+//! The paper builds **one** circuit per query (Theorem 6) and reads
+//! everything off it by changing the semiring. For `φ(x₁…x_k)` it
+//! computes the closed expression `Σ_x̄ [φ] · v₁(x₁)⋯v_k(x_k)`, and its
+//! `v_i(a)` input slots ([`SlotKey::FreeVar`]) are valuated
+//!
+//! * in the carrier `S` with the indicators of one tuple — the point
+//!   query `[φ(ā)]` of Theorem 8 (`agq_core::QueryEngine`);
+//! * in the **free semiring** with Section 6's fresh generators `e^i_a`
+//!   — one summand `e¹_{a₁}⋯e^k_{a_k}` per answer, which the enumerator
+//!   of [`crate::machine`] yields with constant delay, duplicate-free;
+//! * in **ℕ** with every slot's summand count — the per-gate counts
+//!   behind [`AnswerIndex::count`] and [`AnswerIndex::answer`].
+//!
+//! An [`AnswerIndex`] is the second and third valuation. Built by an
+//! engine ([`AnswerIndex::from_compiled`]) it shares the engine's
+//! `Arc<Circuit>`, slot registry and `EvalPlan`; built standalone it
+//! runs the same compilation itself. In dynamic mode the relations are
+//! 0/1 inputs (Lemma 40's `v±_R` weights), so Gaifman-preserving tuple
+//! updates are O(1) maintenance on every valuation.
 
 use crate::cursor::SummandIter;
-use crate::machine::{EnumMachine, InputVal};
+use crate::machine::{EnumMachine, EnumPlan, InputVal};
+use agq_circuit::EvalPlan;
 use agq_core::{
-    compile, eliminate_quantifiers, CompileError, CompileOptions, SlotKey, TupleUpdate,
+    compile_query, eliminate_quantifiers, AtomSlots, CompileError, CompileOptions, CompiledQuery,
+    SlotKey, SlotRegistry, TupleUpdate,
 };
 use agq_logic::{normalize, Expr, Formula};
-use agq_semiring::{Gen, Nat};
-use agq_structure::{Elem, RelId, Signature, Structure, Tuple, WeightId};
+use agq_semiring::{Gen, Nat, Semiring};
+use agq_structure::{Elem, RelId, Signature, Structure};
 use std::sync::Arc;
 
-/// The positive/negative indicator slots compiled for a tuple (either
-/// may be absent).
-type SlotPair = (Option<u32>, Option<u32>);
+#[cfg(test)]
+thread_local! {
+    /// Entries into [`compile_indicator`] on this thread (the tests pin
+    /// "one compilation per `build*` call" with it).
+    pub(crate) static COMPILATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The one Theorem 6 compilation behind every index and engine of this
+/// crate: the indicator expression `[φ]` over carrier `S`, with φ's free
+/// variables as the query tuple. Returns the compile output and the
+/// structure it was compiled against (`a` plus the helper predicates of
+/// guarded quantifier elimination). Dynamic mode requires a
+/// quantifier-free `φ` — elimination materializes static predicates
+/// which updates would invalidate — and says so **before** any work.
+pub(crate) fn compile_indicator<S: Semiring>(
+    a: &Structure,
+    phi: &Formula,
+    opts: &CompileOptions,
+    dynamic: bool,
+) -> Result<(CompiledQuery<S>, Arc<Structure>), CompileError> {
+    if dynamic && !phi.is_quantifier_free() {
+        return Err(CompileError::UnsupportedQuantifier {
+            formula: format!("{phi:?} (dynamic indexes require quantifier-free φ)"),
+        });
+    }
+    #[cfg(test)]
+    COMPILATIONS.with(|c| c.set(c.get() + 1));
+    let mut copts = opts.clone();
+    copts.dynamic_atoms = dynamic;
+    let (expr, a2) = eliminate_quantifiers(&Expr::<S>::Bracket(phi.clone()), a, &copts)?;
+    let nf = normalize(&expr)?;
+    let compiled = compile_query(&a2, &nf, phi.free_vars(), &copts)?;
+    Ok((compiled, a2))
+}
 
 /// Errors raised by answer-index updates.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,24 +136,25 @@ impl std::error::Error for UpdateError {}
 /// enumeration (and constant-time maintenance in dynamic mode).
 ///
 /// The index follows the plan/state split of [`EnumMachine`]: the
-/// compiled circuit, its [`agq_core::SlotRegistry`], and the generator
-/// weight symbols are immutable and shared behind `Arc`s, while the
-/// machine state (input summand lists, support shadow) is per-index.
-/// [`AnswerIndex::shard_filtered`] instantiates a sibling state over the
-/// same plan whose generator weights are restricted to one set of domain
-/// elements — the per-shard answer indexes of the sharded engine.
+/// compiled circuit and its [`SlotRegistry`] are immutable and shared
+/// behind `Arc`s — with the point-query engine, when there is one —
+/// while the machine state (input summand lists, support shadow) is
+/// per-index. [`AnswerIndex::shard_filtered`] instantiates a sibling
+/// state over the same plan whose generators are restricted to one set
+/// of domain elements — the per-shard answer indexes of the sharded
+/// engine.
 pub struct AnswerIndex {
     machine: EnumMachine,
-    slots: Arc<agq_core::SlotRegistry>,
+    slots: Arc<SlotRegistry>,
     arity: usize,
     dynamic: bool,
-    /// Generator weight symbols, one per free-variable position.
-    gen_weights: Arc<Vec<WeightId>>,
-    /// The *original* signature (no generator weights) — relation
-    /// arities for up-front update validation.
+    /// Signature of the compiled structure — relation arities for
+    /// up-front update validation.
     sig: Arc<Signature>,
     /// Domain size of the indexed structure, for the same validation.
     domain_size: usize,
+    /// Reused indicator-flip staging of the update path.
+    flips: Vec<(u32, bool)>,
 }
 
 impl AnswerIndex {
@@ -131,11 +177,6 @@ impl AnswerIndex {
         phi: &Formula,
         opts: &CompileOptions,
     ) -> Result<Self, CompileError> {
-        if !phi.is_quantifier_free() {
-            return Err(CompileError::UnsupportedQuantifier {
-                formula: format!("{phi:?} (dynamic indexes require quantifier-free φ)"),
-            });
-        }
         Self::build_inner(a, phi, opts, true)
     }
 
@@ -145,64 +186,66 @@ impl AnswerIndex {
         opts: &CompileOptions,
         dynamic: bool,
     ) -> Result<Self, CompileError> {
-        let free = phi.free_vars();
-        let arity = free.len();
+        let (compiled, a2) = compile_indicator::<Nat>(a, phi, opts, dynamic)?;
+        let plan = EnumPlan::new(compiled.circuit.clone());
+        Ok(Self::over_plan(plan, &compiled, &a2, dynamic))
+    }
 
-        // Extend the signature with one generator weight per position.
-        let mut sig = (**a.signature()).clone();
-        let gen_weights: Vec<WeightId> = (0..arity)
-            .map(|i| sig.add_weight(&format!("__gen{i}"), 1))
-            .collect();
-        let a2 = copy_structure(a, Arc::new(sig));
+    /// The enumeration and count valuations of an **already compiled**
+    /// indicator query `[φ]` (`compiled`, against `a`): the index shares
+    /// `compiled`'s circuit and slot registry and runs its count side on
+    /// `eval_plan` — the engine constructors hand over the point side's,
+    /// so one build holds one circuit and one evaluation plan.
+    ///
+    /// # Panics
+    /// Panics if `eval_plan` is not a plan of `compiled.circuit`, or if
+    /// the circuit reads literal coefficients or declared weights (no
+    /// `[φ]` does).
+    pub fn from_compiled<S>(
+        compiled: &CompiledQuery<S>,
+        eval_plan: Arc<EvalPlan>,
+        a: &Structure,
+        dynamic: bool,
+    ) -> AnswerIndex {
+        assert!(
+            Arc::ptr_eq(eval_plan.circuit(), &compiled.circuit),
+            "evaluation plan belongs to another circuit"
+        );
+        Self::over_plan(EnumPlan::with_eval_plan(eval_plan), compiled, a, dynamic)
+    }
 
-        // f = Σ_x̄ [φ] · Π w_i(x_i)
-        let mut factors: Vec<Expr<Nat>> = vec![Expr::Bracket(phi.clone())];
-        for (i, v) in free.iter().enumerate() {
-            factors.push(Expr::Weight(gen_weights[i], vec![*v]));
-        }
-        let expr = Expr::Mul(factors).sum_over(free.iter().copied());
-
-        let mut copts = opts.clone();
-        copts.dynamic_atoms = dynamic;
-        let (expr, a3) = eliminate_quantifiers(&expr, &a2, &copts)?;
-        let nf = normalize(&expr)?;
-        let compiled = compile(&a3, &nf, &copts)?;
-
-        // Input values in the free semiring.
+    fn over_plan<S>(
+        plan: EnumPlan,
+        compiled: &CompiledQuery<S>,
+        a: &Structure,
+        dynamic: bool,
+    ) -> AnswerIndex {
+        // Input values in the free semiring: `v_i(a)` is the generator
+        // `e^i_a`, atom indicators are 0/1.
         let values: Vec<InputVal> = compiled
             .slots
             .iter()
             .map(|(_, key)| match key {
-                SlotKey::Weight(w, t) => {
-                    // generator weights: e^i_a; any other weight would be
-                    // a bug in expression construction
-                    let pos = gen_weights
-                        .iter()
-                        .position(|g| *g == w)
-                        .expect("only generator weights appear");
-                    vec![vec![Gen::pack(pos as u32, t.as_slice()[0])]]
-                }
-                SlotKey::AtomPos(r, t) => bool_val(a3.holds(r, t.as_slice())),
-                SlotKey::AtomNeg(r, t) => bool_val(!a3.holds(r, t.as_slice())),
-                SlotKey::FreeVar(..) => unreachable!("expression is closed"),
+                SlotKey::FreeVar(pos, e) => vec![vec![Gen::pack(pos as u32, e)]],
+                SlotKey::AtomPos(r, t) => bool_val(a.holds(r, t.as_slice())),
+                SlotKey::AtomNeg(r, t) => bool_val(!a.holds(r, t.as_slice())),
+                SlotKey::Weight(..) => unreachable!("[φ] reads no declared weight"),
             })
             .collect();
-
-        let machine = EnumMachine::new(compiled.circuit.clone(), values);
-        Ok(AnswerIndex {
-            machine,
-            slots: Arc::new(compiled.slots),
-            arity,
+        AnswerIndex {
+            machine: EnumMachine::from_plan(Arc::new(plan), values),
+            slots: compiled.slots.clone(),
+            arity: compiled.free_vars.len(),
             dynamic,
-            gen_weights: Arc::new(gen_weights),
             sig: a.signature().clone(),
             domain_size: a.domain_size(),
-        })
+            flips: Vec::new(),
+        }
     }
 
     /// Instantiate a sibling index over the **same shared plan**, keeping
     /// only the answers whose elements all satisfy `keep`: generator
-    /// weight slots `e^i_a` with `!keep(a)` are zeroed, which kills every
+    /// slots `e^i_a` with `!keep(a)` are zeroed, which kills every
     /// summand (answer) mentioning such an element, while atom-indicator
     /// slots copy this index's current state. This is the shard
     /// constructor of the sharded engine — each Gaifman shard keeps the
@@ -215,13 +258,7 @@ impl AnswerIndex {
             .slots
             .iter()
             .map(|(slot, key)| match key {
-                SlotKey::Weight(w, t) if self.gen_weights.contains(&w) => {
-                    if keep(t.as_slice()[0]) {
-                        self.machine.input(slot).clone()
-                    } else {
-                        Vec::new()
-                    }
-                }
+                SlotKey::FreeVar(_, e) if !keep(e) => Vec::new(),
                 _ => self.machine.input(slot).clone(),
             })
             .collect();
@@ -230,28 +267,22 @@ impl AnswerIndex {
             slots: self.slots.clone(),
             arity: self.arity,
             dynamic: self.dynamic,
-            gen_weights: self.gen_weights.clone(),
             sig: self.sig.clone(),
             domain_size: self.domain_size,
+            flips: Vec::new(),
         }
     }
 
     /// Reassemble an index from its saved parts — the restore half of
     /// snapshot/restore (`agq-persist`). The `machine` must have been
-    /// rebuilt over this query's [`crate::machine::EnumPlan`] (e.g. via
-    /// [`EnumMachine::from_plan`] on saved input values); the remaining
-    /// arguments are exactly what the corresponding accessors
-    /// ([`slot_registry`](Self::slot_registry), [`arity`](Self::arity),
-    /// [`is_dynamic`](Self::is_dynamic),
-    /// [`generator_weights`](Self::generator_weights),
-    /// [`signature`](Self::signature),
-    /// [`domain_size`](Self::domain_size)) exposed at save time.
+    /// rebuilt over this query's [`crate::machine::EnumPlan`]
+    /// ([`EnumMachine::from_saved`]); the remaining arguments are what
+    /// the accessors of the same names exposed at save time.
     pub fn from_saved_parts(
         machine: EnumMachine,
-        slots: Arc<agq_core::SlotRegistry>,
+        slots: Arc<SlotRegistry>,
         arity: usize,
         dynamic: bool,
-        gen_weights: Arc<Vec<WeightId>>,
         sig: Arc<Signature>,
         domain_size: usize,
     ) -> AnswerIndex {
@@ -260,19 +291,27 @@ impl AnswerIndex {
             slots,
             arity,
             dynamic,
-            gen_weights,
             sig,
             domain_size,
+            flips: Vec::new(),
         }
     }
 
-    /// The shared slot registry of the compiled enumeration circuit.
-    pub fn slot_registry(&self) -> &Arc<agq_core::SlotRegistry> {
+    /// The slot registry of the compiled circuit — in an engine, the
+    /// same `Arc` the point-query side reads.
+    pub fn slot_registry(&self) -> &Arc<SlotRegistry> {
         &self.slots
     }
 
-    /// The original signature of the indexed structure (no generator
-    /// weights).
+    /// Whether slot ids resolved against this index's registry are valid
+    /// in `other` — the same `Arc`, or an independent compilation of the
+    /// same query (compilation is deterministic, so those number their
+    /// slots identically).
+    pub(crate) fn same_slots_as(&self, other: &Arc<SlotRegistry>) -> bool {
+        Arc::ptr_eq(&self.slots, other) || self.slots.same_numbering(other)
+    }
+
+    /// Signature of the compiled structure.
     pub fn signature(&self) -> &Arc<Signature> {
         &self.sig
     }
@@ -285,12 +324,6 @@ impl AnswerIndex {
     /// Whether the index was built with dynamic-update support.
     pub fn is_dynamic(&self) -> bool {
         self.dynamic
-    }
-
-    /// The generator weight symbols behind an `Arc`, for sibling-state
-    /// constructors.
-    pub fn generator_weights_arc(&self) -> &Arc<Vec<WeightId>> {
-        &self.gen_weights
     }
 
     /// Answer-tuple arity.
@@ -414,26 +447,26 @@ impl AnswerIndex {
         tuple: &[Elem],
         present: bool,
     ) -> Result<(), UpdateError> {
-        let mut flips: [(u32, bool); 2] = [(0, false); 2];
-        let n = match self.stage_tuple(r, tuple, present)? {
-            Some(slots) => stage_flips(&self.machine, slots, present, &mut flips),
-            None => 0,
-        };
-        if n > 0 {
-            self.machine.set_input_bools(&flips[..n]);
+        if let Some(slots) = self.resolve_update(r, tuple, present)? {
+            self.apply_resolved(&[(slots, present)]);
         }
         Ok(())
     }
 
-    /// Resolve the indicator slots of `(r, tuple)`, validating the update
-    /// without mutating anything: `Ok(None)` is the removing-a-never-
-    /// representable-tuple no-op.
-    fn stage_tuple(
+    /// Validate one update and resolve its indicator slots, without
+    /// mutating anything: `Ok(None)` is the removing-a-never-
+    /// representable-tuple no-op. The verdict and the slot ids depend
+    /// only on the shared compiled plan, so any index or point-query
+    /// engine over the same registry can apply them
+    /// ([`AnswerIndex::apply_resolved`],
+    /// `agq_core::QueryEngine::apply_resolved`) — the engines resolve
+    /// each update once, before journaling or taking further locks.
+    pub fn resolve_update(
         &self,
         r: RelId,
         tuple: &[Elem],
         present: bool,
-    ) -> Result<Option<SlotPair>, UpdateError> {
+    ) -> Result<Option<AtomSlots>, UpdateError> {
         if !self.dynamic {
             return Err(UpdateError::StaticIndex);
         }
@@ -443,20 +476,15 @@ impl AnswerIndex {
         {
             return Err(UpdateError::MalformedTuple);
         }
-        let t = Tuple::new(tuple);
-        let pos = self.slots.lookup(&SlotKey::AtomPos(r, t));
-        let neg = self.slots.lookup(&SlotKey::AtomNeg(r, t));
-        if pos.is_none() && neg.is_none() {
+        let slots = self.slots.atom_slots(r, tuple);
+        if slots.is_none() && present {
             // The compiler never materialized this atom: either the tuple
             // is not a clique (a true Gaifman violation when inserting) or
             // the atom provably cannot influence any answer (safe no-op
             // when removing). Reject insertions conservatively.
-            if present {
-                return Err(UpdateError::NotGaifmanPreserving);
-            }
-            return Ok(None);
+            return Err(UpdateError::NotGaifmanPreserving);
         }
-        Ok(Some((pos, neg)))
+        Ok(slots)
     }
 
     /// Apply one database update *incrementally*: the support shadow is
@@ -466,16 +494,6 @@ impl AnswerIndex {
     /// [`agq_core::QueryEngine::apply_update`].
     pub fn apply_update(&mut self, u: &TupleUpdate) -> Result<(), UpdateError> {
         self.set_tuple(u.rel, &u.tuple, u.present)
-    }
-
-    /// Validate one update without applying it — the same checks as
-    /// [`AnswerIndex::apply_update`] (dynamic mode, Gaifman
-    /// preservation). The verdict depends only on the shared compiled
-    /// plan, so any index over the same query gives the same answer; the
-    /// sharded engine uses this to pre-validate a whole batch before
-    /// taking any write lock.
-    pub(crate) fn validate_update(&self, u: &TupleUpdate) -> Result<(), UpdateError> {
-        self.stage_tuple(u.rel, &u.tuple, u.present).map(|_| ())
     }
 
     /// Apply a whole batch of updates with **one** support sweep and one
@@ -513,58 +531,44 @@ impl AnswerIndex {
     ) -> Result<usize, UpdateError> {
         // Validate-and-resolve pass; nothing is mutated until it is
         // complete.
-        let mut staged: Vec<(SlotPair, bool)> = Vec::new();
+        let mut staged: Vec<(AtomSlots, bool)> = Vec::with_capacity(updates.len());
         for u in updates {
-            if let Some(slots) = self.stage_tuple(u.rel, &u.tuple, u.present)? {
+            if let Some(slots) = self.resolve_update(u.rel, &u.tuple, u.present)? {
                 staged.push((slots, u.present));
             }
         }
-        let mut flips: Vec<(u32, bool)> = Vec::with_capacity(2 * staged.len());
+        Ok(self.apply_resolved(&staged))
+    }
+
+    /// Apply a coalesced batch whose indicator slots are **already
+    /// resolved** ([`AnswerIndex::resolve_update`], on this index or any
+    /// other over the same registry): net no-op flips are dropped
+    /// against the presence bitset and the rest go through one
+    /// [`EnumMachine::set_input_bools`] sweep. Returns the number of
+    /// updates that changed at least one indicator slot.
+    pub fn apply_resolved(&mut self, staged: &[(AtomSlots, bool)]) -> usize {
+        self.flips.clear();
         let mut applied = 0usize;
-        for (slots, present) in staged {
-            let mut pair: [(u32, bool); 2] = [(0, false); 2];
-            let n = stage_flips(&self.machine, slots, present, &mut pair);
-            if n > 0 {
-                applied += 1;
-                flips.extend_from_slice(&pair[..n]);
+        for &((pos, neg), present) in staged {
+            let before = self.flips.len();
+            if let Some(s) = pos {
+                if self.machine.input_present(s) != present {
+                    self.flips.push((s, present));
+                }
             }
+            if let Some(s) = neg {
+                // the negative indicator's target is the complement
+                if self.machine.input_present(s) == present {
+                    self.flips.push((s, !present));
+                }
+            }
+            applied += usize::from(self.flips.len() > before);
         }
-        if !flips.is_empty() {
-            self.machine.set_input_bools(&flips);
+        if !self.flips.is_empty() {
+            self.machine.set_input_bools(&self.flips);
         }
-        Ok(applied)
+        applied
     }
-
-    /// The generator weight symbols (diagnostics).
-    pub fn generator_weights(&self) -> &[WeightId] {
-        &self.gen_weights
-    }
-}
-
-/// Expand one staged tuple flip into indicator-slot flips, dropping
-/// slots already at their target presence (net no-ops). Returns how many
-/// entries of `out` were filled.
-fn stage_flips(
-    machine: &EnumMachine,
-    (pos, neg): SlotPair,
-    present: bool,
-    out: &mut [(u32, bool); 2],
-) -> usize {
-    let mut n = 0;
-    if let Some(s) = pos {
-        if machine.input_present(s) != present {
-            out[n] = (s, present);
-            n += 1;
-        }
-    }
-    if let Some(s) = neg {
-        // the negative indicator's target is the complement
-        if machine.input_present(s) == present {
-            out[n] = (s, !present);
-            n += 1;
-        }
-    }
-    n
 }
 
 /// splitmix64: the standard 64-bit finalizer-style mixer — turns a
@@ -582,16 +586,6 @@ fn bool_val(b: bool) -> InputVal {
     } else {
         vec![]
     }
-}
-
-fn copy_structure(a: &Structure, sig: Arc<Signature>) -> Structure {
-    let mut b = Structure::new(sig, a.domain_size());
-    for r in a.signature().relation_ids() {
-        for t in a.relation(r).iter() {
-            b.insert(r, t.as_slice());
-        }
-    }
-    b
 }
 
 /// Bidirectional constant-delay iterator over answers.

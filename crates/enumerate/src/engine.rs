@@ -1,23 +1,27 @@
 //! One engine API for a first-order query: point queries, answer
 //! enumeration, and Gaifman-preserving updates behind a single facade.
 //!
-//! [`agq_core::QueryEngine`] answers *point* queries (`is ā an answer?`
-//! as the semiring value `[φ](ā)`) and absorbs updates through its
-//! dynamic evaluator; [`AnswerIndex`] *enumerates* answers with constant
-//! delay and absorbs the same updates through its support shadow. Before
-//! this module they were separate objects fed separately.
-//! [`EnumQueryEngine`] binds both to one formula and one database and
-//! routes one [`TupleUpdate`] object to both — so enumeration, point
-//! queries, and updates share one engine API (and the differential test
-//! suite can assert they never disagree).
+//! # One circuit, three valuations
+//!
+//! [`EnumQueryEngine`] compiles `φ` **once** (Theorem 6) and valuates
+//! that one circuit three ways: [`agq_core::QueryEngine`] in the carrier
+//! `S` — *point* queries, `is ā an answer?` as the semiring value
+//! `[φ](ā)`; [`AnswerIndex`] in the free semiring — constant-delay
+//! *enumeration*; and the index's lazy count side in ℕ — `count()` and
+//! `answer(k)`. The two halves hold the same `Arc<Circuit>`, the same
+//! slot registry and the same `EvalPlan`; an update is resolved to its
+//! indicator slots once and that one `(pos, neg)` pair is written into
+//! every valuation — so enumeration, point queries, and updates share
+//! one engine API (and the differential test suite can assert they never
+//! disagree).
 
-use crate::answers::{AnswerIndex, AnswerIter, UpdateError};
+use crate::answers::{compile_indicator, AnswerIndex, AnswerIter, UpdateError};
 use agq_circuit::{FiniteMaint, PermMaint, RingMaint};
 use agq_core::{
-    compile, eliminate_quantifiers, CompileError, CompileOptions, DurabilityPolicy, QueryEngine,
-    TupleUpdate, WalFailure, WalSink,
+    AtomSlots, CompileError, CompileOptions, DurabilityPolicy, QueryEngine, TupleUpdate,
+    WalFailure, WalSink,
 };
-use agq_logic::{normalize, Expr, Formula};
+use agq_logic::Formula;
 use agq_perm::SegTreePerm;
 use agq_semiring::Semiring;
 use agq_structure::{Elem, Structure, WeightedStructure};
@@ -45,6 +49,8 @@ pub struct EnumQueryEngine<S: Semiring, P: PermMaint<S>> {
     last_lsn: u64,
     policy: DurabilityPolicy,
     wal_degraded: bool,
+    /// Reused resolved-slot staging of the update path.
+    staged: Vec<(AtomSlots, bool)>,
 }
 
 /// Unified engine for arbitrary semirings (logarithmic point queries).
@@ -81,36 +87,36 @@ impl<S: Semiring, P: PermMaint<S>> EnumQueryEngine<S, P> {
         opts: &CompileOptions,
         dynamic: bool,
     ) -> Result<Self, CompileError> {
-        // Point-query side: compile the indicator expression [φ] with
-        // φ's variables free — `query(ā)` then evaluates to `[φ(ā)]`.
-        let expr: Expr<S> = Expr::Bracket(phi.clone());
-        let mut copts = opts.clone();
-        copts.dynamic_atoms = dynamic;
-        let (expr, a2) = eliminate_quantifiers(&expr, a, &copts)?;
-        let nf = normalize(&expr)?;
-        let compiled = compile(&a2, &nf, &copts)?;
+        // One compilation of the indicator expression [φ] with φ's
+        // variables free; `query(ā)` evaluates it to `[φ(ā)]` and the
+        // answer index enumerates and counts over the same gates.
+        let (compiled, a2) = compile_indicator::<S>(a, phi, opts, dynamic)?;
         let weights: WeightedStructure<S> = WeightedStructure::new(a2);
         let engine = QueryEngine::new(compiled, &weights);
-        // Enumeration side: the answer index over the same formula.
-        let index = if dynamic {
-            AnswerIndex::build_dynamic(a, phi, opts)?
-        } else {
-            AnswerIndex::build(a, phi, opts)?
-        };
-        Ok(EnumQueryEngine {
-            engine,
-            index,
-            wal: None,
-            last_lsn: 0,
-            policy: DurabilityPolicy::default(),
-            wal_degraded: false,
-        })
+        let index = AnswerIndex::from_compiled(
+            engine.compiled(),
+            engine.plan().clone(),
+            weights.structure(),
+            dynamic,
+        );
+        Ok(Self::from_parts(engine, index, 0))
     }
 
-    /// Reassemble an engine from separately restored halves — the
-    /// restore constructor of `agq-persist`. `last_lsn` seeds the log
+    /// Reassemble an engine from separately obtained halves — the
+    /// restore constructor of `agq-persist`, and the way to assemble an
+    /// engine from pieces built (and timed) one by one. The halves need
+    /// not share their `Arc`s, but they must be valuations of the same
+    /// compilation: updates are resolved once, against the index's slot
+    /// registry, and applied to both by slot id. `last_lsn` seeds the log
     /// sequence counter (the LSN the restored state is current through).
+    ///
+    /// # Panics
+    /// Panics if the two halves number their input slots differently.
     pub fn from_parts(engine: QueryEngine<S, P>, index: AnswerIndex, last_lsn: u64) -> Self {
+        assert!(
+            index.same_slots_as(&engine.compiled().slots),
+            "EnumQueryEngine::from_parts: the halves were compiled from different queries"
+        );
         EnumQueryEngine {
             engine,
             index,
@@ -118,6 +124,7 @@ impl<S: Semiring, P: PermMaint<S>> EnumQueryEngine<S, P> {
             last_lsn,
             policy: DurabilityPolicy::default(),
             wal_degraded: false,
+            staged: Vec::new(),
         }
     }
 
@@ -177,7 +184,7 @@ impl<S: Semiring, P: PermMaint<S>> EnumQueryEngine<S, P> {
     /// append succeeded — or unconditionally under fail-open, flagging
     /// [`wal_degraded`](Self::wal_degraded). On a fail-stop `Err` the
     /// LSN does not advance and the caller must not apply the batch.
-    fn journal(&mut self, updates: &[TupleUpdate]) -> Result<(), UpdateError> {
+    fn journal(&mut self, updates: &[&TupleUpdate]) -> Result<(), UpdateError> {
         let lsn = self.last_lsn + 1;
         if let Some(wal) = &mut self.wal {
             if let Err(e) = self.policy.append(wal.as_mut(), lsn, updates) {
@@ -248,48 +255,46 @@ impl<S: Semiring, P: PermMaint<S>> EnumQueryEngine<S, P> {
     /// before either in-memory side mutates — a fail-stop WAL rejection
     /// therefore also leaves both sides untouched.
     pub fn apply_update(&mut self, u: &TupleUpdate) -> Result<(), UpdateError> {
-        self.index.validate_update(u)?;
-        self.journal(std::slice::from_ref(u))?;
-        self.index
-            .apply_update(u)
-            .expect("update was pre-validated");
-        self.engine.apply_update(u);
+        let slots = self.index.resolve_update(u.rel, &u.tuple, u.present)?;
+        self.journal(&[u])?;
+        if let Some(slots) = slots {
+            let staged = [(slots, u.present)];
+            self.index.apply_resolved(&staged);
+            self.engine.apply_resolved(&staged);
+        }
         Ok(())
     }
 
     /// Apply a whole batch of updates to *both* sides with one coalesced
-    /// sweep each ([`AnswerIndex::apply_batch`] and
-    /// [`agq_core::QueryEngine::apply_batch`]): per-tuple coalescing, net
+    /// sweep each ([`AnswerIndex::apply_resolved`] and
+    /// [`agq_core::QueryEngine::apply_resolved`]): per-tuple coalescing, net
     /// no-op dropping, and a single dirty propagation per side. The batch
     /// is validated up front — on `Err` nothing is modified. Returns the
     /// number of coalesced updates that changed the enumeration index.
     ///
-    /// Coalescing runs **once**, here ([`agq_core::coalesce_updates`]);
-    /// the two sub-indexes only ever see the deduplicated slice, so on
-    /// hot-key churn batches the per-incoming-update cost is one hash,
-    /// not one per layer.
+    /// Coalescing runs **once**, here ([`agq_core::coalesce_updates`]),
+    /// and so does slot resolution: each surviving update is validated
+    /// and resolved to its `(pos, neg)` indicator slots in one pass, the
+    /// borrowed batch is journaled, and both sides are written by slot
+    /// id — on hot-key churn batches the per-incoming-update cost is one
+    /// hash, not one per layer.
     pub fn apply_batch<U: std::borrow::Borrow<TupleUpdate>>(
         &mut self,
         updates: &[U],
     ) -> Result<usize, UpdateError> {
         let mut coalesced = Vec::with_capacity(updates.len());
         agq_core::coalesce_updates(updates, &mut coalesced);
+        self.staged.clear();
         for u in &coalesced {
-            self.index.validate_update(u)?;
+            if let Some(slots) = self.index.resolve_update(u.rel, &u.tuple, u.present)? {
+                self.staged.push((slots, u.present));
+            }
         }
         // Write-ahead: the batch is durable (or cleanly rejected, LSN
         // unadvanced) before anything mutates in memory.
-        if self.wal.is_some() {
-            let owned: Vec<TupleUpdate> = coalesced.iter().map(|u| (*u).clone()).collect();
-            self.journal(&owned)?;
-        } else {
-            self.journal(&[])?; // no sink: just sequence the batch
-        }
-        let applied = self
-            .index
-            .apply_batch_coalesced(&coalesced)
-            .expect("batch was pre-validated");
-        self.engine.apply_batch_coalesced(&coalesced);
+        self.journal(&coalesced)?;
+        let applied = self.index.apply_resolved(&self.staged);
+        self.engine.apply_resolved(&self.staged);
         Ok(applied)
     }
 

@@ -50,12 +50,14 @@
 //! # Shard routing
 //!
 //! [`shard::ShardedEngine`] serves one query from Gaifman-component
-//! shards: `φ` is compiled **once** into shared immutable plans (the
-//! point-query `CompiledQuery` with its `EvalPlan`, and the enumeration
-//! `EnumPlan` with its slot registry), and every shard owns only mutable
-//! state — a `QueryEngine` evaluator state and an [`AnswerIndex`] whose
-//! generator weights are restricted to the shard's elements
-//! ([`answers::AnswerIndex::shard_filtered`]) — behind its own `RwLock`.
+//! shards: `φ` is compiled **once** into one shared immutable plan (the
+//! `CompiledQuery` — circuit plus slot registry — with the `EvalPlan`
+//! and `EnumPlan` derived from it; point queries, enumeration and
+//! counting are three valuations of that one circuit), and every shard
+//! owns only mutable state — a `QueryEngine` evaluator state and an
+//! [`AnswerIndex`] whose generator slots are restricted to the shard's
+//! elements ([`answers::AnswerIndex::shard_filtered`]) — behind its own
+//! `RwLock`.
 //! `agq_structure::gaifman::GaifmanComponents` (union-find over the
 //! compile-time Gaifman graph) routes every [`agq_core::TupleUpdate`] to
 //! the single shard owning its (clique) tuple; batched point queries
@@ -115,9 +117,10 @@
 //!   anything (all-or-nothing, unlike a manual `apply_update` loop), and
 //!   funnels the surviving flips through one `set_input_bools` call.
 //! * [`shard::ShardedEngine::apply_batch`] groups the coalesced batch by
-//!   owning shard, pre-validates against the shared plan under one read
-//!   lock, then takes each shard's write lock exactly once and applies
-//!   the shard groups in parallel.
+//!   owning shard, takes each affected shard's write lock exactly once,
+//!   validates every update against the shared plan — resolving its
+//!   indicator slots on the way, once for both sides — and applies the
+//!   shard groups in parallel.
 //!
 //! The single-update paths (`set_input_bool`, `set_tuple`,
 //! `apply_update`) are the batch paths at size one — there is no second
@@ -182,6 +185,8 @@ pub mod answers;
 pub mod cursor;
 pub mod engine;
 pub mod machine;
+#[cfg(test)]
+mod one_circuit_tests;
 pub mod provenance;
 pub mod shard;
 

@@ -27,11 +27,13 @@
 //! a column between buckets is an O(1) splice in flat memory, with no
 //! per-gate, per-mask `Vec`s anywhere.
 
-use agq_circuit::{Circuit, ConstRef, Csr, CsrBuilder, GateDef, GateId, GeneralEvaluator};
+use agq_circuit::{
+    Circuit, ConstRef, Csr, CsrBuilder, EvalPlan, GateDef, GateId, GeneralEvaluator,
+};
 use agq_perm::support::sdr_exists;
 use agq_semiring::{Gen, Nat};
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// An input value in the free semiring: a list of summand monomials,
 /// each a (not necessarily sorted) list of generators. The empty list is
@@ -203,6 +205,9 @@ fn idx_opt(i: u32) -> Option<u32> {
 /// with every input slot replaced by its summand-list length, kept
 /// incrementally correct by a [`GeneralEvaluator`] (its `SegTreePerm<Nat>`
 /// backends double as the row-subset rest-count oracle of rank descent).
+/// The evaluator is a *state* over the plan's shared
+/// [`EnumPlan::eval_plan`] — in an engine, the very `EvalPlan` the point
+/// queries run on.
 ///
 /// The evaluator is **not** repaired eagerly on every update — that would
 /// tax ingestion whether or not ranks are ever read. Instead the support
@@ -349,6 +354,11 @@ enum ParentRef {
 /// same circuit.
 pub struct EnumPlan {
     circuit: Arc<Circuit>,
+    /// The evaluation plan the ℕ count side runs on: handed over by an
+    /// engine that already holds one for this circuit
+    /// ([`EnumPlan::with_eval_plan`]), otherwise derived by the first
+    /// rank read. Either way one plan serves every machine state.
+    eval_plan: OnceLock<Arc<EvalPlan>>,
     /// Parents of each gate.
     parents: Csr<ParentRef>,
     /// Input gates per slot (updates must not scan the circuit).
@@ -379,6 +389,18 @@ impl EnumPlan {
     /// Panics if the circuit uses literal-table constants — enumeration
     /// circuits carry coefficient 1 everywhere.
     pub fn new(circuit: Arc<Circuit>) -> Self {
+        Self::build(circuit, OnceLock::new())
+    }
+
+    /// Derive the enumeration plan of the circuit `eval_plan` describes
+    /// and keep `eval_plan` for the count side: an engine valuates
+    /// **one** circuit three ways, so point queries and rank counts
+    /// share one adjacency. Panics as [`EnumPlan::new`].
+    pub fn with_eval_plan(eval_plan: Arc<EvalPlan>) -> Self {
+        Self::build(eval_plan.circuit().clone(), OnceLock::from(eval_plan))
+    }
+
+    fn build(circuit: Arc<Circuit>, eval_plan: OnceLock<Arc<EvalPlan>>) -> Self {
         assert_eq!(
             circuit.num_lits(),
             0,
@@ -482,6 +504,7 @@ impl EnumPlan {
 
         EnumPlan {
             circuit,
+            eval_plan,
             parents: parents.finish(),
             slot_gates: slot_gates.finish(),
             add_index,
@@ -497,6 +520,13 @@ impl EnumPlan {
     /// The circuit this plan describes.
     pub fn circuit(&self) -> &Arc<Circuit> {
         &self.circuit
+    }
+
+    /// The evaluation plan of the count side (derived on first use when
+    /// no engine supplied one).
+    pub fn eval_plan(&self) -> &Arc<EvalPlan> {
+        self.eval_plan
+            .get_or_init(|| Arc::new(EvalPlan::new(self.circuit.clone())))
     }
 }
 
@@ -1073,8 +1103,8 @@ impl EnumMachine {
                 .iter()
                 .map(|v| Nat(v.len() as u64))
                 .collect();
-            st.eval = Some(GeneralEvaluator::new(
-                self.plan.circuit.clone(),
+            st.eval = Some(GeneralEvaluator::from_plan(
+                self.plan.eval_plan().clone(),
                 &slots,
                 &[],
             ));

@@ -21,7 +21,7 @@ use agq_structure::{Elem, Structure, WeightId};
 /// semiring, ready to hand out provenance enumerators.
 pub struct ProvenanceIndex {
     machine: EnumMachine,
-    slots: agq_core::SlotRegistry,
+    slots: std::sync::Arc<agq_core::SlotRegistry>,
     free_len: usize,
 }
 

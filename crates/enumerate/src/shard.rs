@@ -24,12 +24,14 @@
 //! # One plan, N states
 //!
 //! [`ShardedEngine`] compiles `φ` **once** and derives one immutable,
-//! `Send + Sync` plan: the [`agq_core::CompiledQuery`] +
-//! [`agq_circuit::EvalPlan`] pair on the point-query side and the
-//! [`crate::machine::EnumPlan`] + slot registry on the enumeration side.
+//! `Send + Sync` plan: the [`agq_core::CompiledQuery`] (one circuit, one
+//! slot registry) with its [`agq_circuit::EvalPlan`] and
+//! [`crate::machine::EnumPlan`]. One circuit, three valuations: point
+//! queries in `S`, enumeration in the free semiring, counts in ℕ (the
+//! count side of every shard is a state over that same `EvalPlan`).
 //! Every shard then owns only cheap mutable state — a
 //! [`QueryEngine`] evaluator state and an [`AnswerIndex`] machine state
-//! whose generator weights are restricted to the shard's elements
+//! whose generator slots are restricted to the shard's elements
 //! ([`AnswerIndex::shard_filtered`]) — behind its own `RwLock`. Updates
 //! take a write lock on the owning shard only; point queries and batch
 //! queries take read locks (the zero-restore query path never mutates),
@@ -99,37 +101,39 @@
 //!   guard, for the WAL mutex) instead of propagating a panic — one
 //!   thread's failure never cascades through `expect("shard lock")`.
 
-use crate::answers::{AnswerIndex, UpdateError};
+use crate::answers::{compile_indicator, AnswerIndex, UpdateError};
 use crate::machine::MachineStateDump;
 use agq_circuit::{FiniteMaint, PeekScratch, PermMaint, RingMaint};
 use agq_core::{
-    compile, eliminate_quantifiers, CompileError, CompileOptions, DurabilityPolicy, QueryEngine,
+    available_cores, AtomSlots, CompileError, CompileOptions, DurabilityPolicy, QueryEngine,
     TupleUpdate, WalFailure, WalSink,
 };
-use agq_logic::{normalize, Expr, Formula};
+use agq_logic::Formula;
 use agq_perm::SegTreePerm;
 use agq_semiring::Semiring;
 use agq_structure::gaifman::GaifmanComponents;
 use agq_structure::{Elem, RelId, Structure, WeightedStructure};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{
-    Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
-
-/// `std::thread::available_parallelism()` re-reads cgroup limits from the
-/// filesystem on every call (~10µs on Linux) — far too slow for per-batch
-/// dispatch decisions. Resolve it once per process.
-pub(crate) fn available_cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// One shard's mutable state: a point-query evaluator state and an
 /// enumeration index state, both over the engine-wide shared plans.
 struct Shard<S: Semiring, P: PermMaint<S>> {
     engine: QueryEngine<S, P>,
     index: AnswerIndex,
+}
+
+/// One update resolved to its indicator slots, with the presence to set.
+type Staged = (AtomSlots, bool);
+
+/// Write one resolved (validated, coalesced) update group into both
+/// valuations of a shard; returns how many updates changed the index.
+fn apply_group<S: Semiring, P: PermMaint<S>>(shard: &mut Shard<S, P>, staged: &[Staged]) -> usize {
+    agq_core::fault::point("shard.apply");
+    let n = shard.index.apply_resolved(staged);
+    shard.engine.apply_resolved(staged);
+    n
 }
 
 /// A shard's lock plus its quarantine flag. The flag lives *outside* the
@@ -340,29 +344,24 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
         opts: &CompileOptions,
         max_shards: usize,
     ) -> Result<Self, CompileError> {
+        // One compilation of the indicator expression [φ] (a quantified
+        // φ is rejected here, before any work): the shared evaluation
+        // plan (with memoized FreeVar cones) serves every shard's point
+        // queries and every shard's count side, and the base answer index
+        // enumerates over the same circuit.
+        let (compiled, a2) = compile_indicator::<S>(a, phi, opts, true)?;
+        let compiled = Arc::new(compiled);
+        let arity = compiled.free_vars.len();
+        let plan = Arc::new(compiled.eval_plan());
+        let base = AnswerIndex::from_compiled(&compiled, plan.clone(), &a2, true);
+        let weights: WeightedStructure<S> = WeightedStructure::new(a2);
+
         // The admission test (arity ≥ 1 included — a closed formula's
         // empty-tuple answer belongs to no component) lives in one
         // place: `Formula::answers_component_local`.
         let component_local = phi.answers_component_local();
         let components = GaifmanComponents::new(a, if component_local { max_shards } else { 1 });
         let num_shards = components.num_shards();
-
-        // Point-query side: compile the indicator expression [φ] once,
-        // derive the shared evaluation plan (with memoized FreeVar
-        // cones), then instantiate one evaluator state per shard.
-        let expr: Expr<S> = Expr::Bracket(phi.clone());
-        let mut copts = opts.clone();
-        copts.dynamic_atoms = true;
-        let (expr, a2) = eliminate_quantifiers(&expr, a, &copts)?;
-        let nf = normalize(&expr)?;
-        let compiled = Arc::new(compile(&a2, &nf, &copts)?);
-        let arity = compiled.free_vars.len();
-        let plan = Arc::new(QueryEngine::<S, P>::build_plan(&compiled));
-        let weights: WeightedStructure<S> = WeightedStructure::new(a2);
-
-        // Enumeration side: build the answer index once (shared EnumPlan
-        // + slot registry), then fork one shard-restricted state each.
-        let base = AnswerIndex::build_dynamic(a, phi, opts)?;
 
         let mut base = Some(base);
         let shards = (0..num_shards)
@@ -393,7 +392,9 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
     /// restore constructor of `agq-persist`. Every `(engine, index)` pair
     /// must have been instantiated over one shared plan (the saved one);
     /// `last_lsn` seeds the log sequence counter. Errs when the shard
-    /// count disagrees with the decomposition.
+    /// count disagrees with the decomposition, or when some half numbers
+    /// its input slots differently from shard 0's index (updates are
+    /// resolved once, against that registry, for every shard and side).
     pub fn from_saved_parts(
         components: GaifmanComponents,
         component_local: bool,
@@ -403,6 +404,14 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
     ) -> Result<Self, &'static str> {
         if shard_states.len() != components.num_shards() {
             return Err("shard count disagrees with the component decomposition");
+        }
+        if let Some((_, first)) = shard_states.first() {
+            let slots = first.slot_registry();
+            if !shard_states.iter().all(|(engine, index)| {
+                index.same_slots_as(slots) && index.same_slots_as(&engine.compiled().slots)
+            }) {
+                return Err("shard halves were compiled from different queries");
+            }
         }
         Ok(ShardedEngine {
             components,
@@ -780,16 +789,12 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
         let mut shard = self
             .write_shard(s)
             .map_err(|shard| UpdateError::ShardUnavailable { shard })?;
-        shard.index.validate_update(u)?;
-        self.journal(std::slice::from_ref(u))?;
+        let slots = shard.index.resolve_update(u.rel, &u.tuple, u.present)?;
+        self.journal(|| vec![u])?;
+        let staged = slots.map(|slots| (slots, u.present));
         let shard = &mut *shard;
         let applied = catch_unwind(AssertUnwindSafe(|| {
-            agq_core::fault::point("shard.apply");
-            shard
-                .index
-                .apply_update(u)
-                .expect("update was pre-validated");
-            shard.engine.apply_update(u);
+            apply_group(shard, staged.as_slice());
         }));
         if applied.is_err() {
             self.shards[s].quarantined.store(true, Ordering::Release);
@@ -801,11 +806,14 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
     /// Journal a batch write-ahead: assign the next LSN and append +
     /// flush under the durability policy, with the accepting batch's
     /// shard write locks still held (so LSN order agrees with apply
-    /// order). On success — or on append exhaustion under a fail-open
-    /// policy, which marks the WAL degraded — the LSN is committed and
-    /// the caller proceeds to apply. Under fail-stop, exhaustion commits
-    /// nothing and the caller must not apply.
-    fn journal(&self, updates: &[TupleUpdate]) -> Result<u64, UpdateError> {
+    /// order). `batch` flattens the (borrowed, never cloned) updates and
+    /// is only called when a sink is attached, so the no-WAL ingestion
+    /// hot path pays one mutex lock and an increment. On success — or on
+    /// append exhaustion under a fail-open policy, which marks the WAL
+    /// degraded — the LSN is committed and the caller proceeds to apply.
+    /// Under fail-stop, exhaustion commits nothing and the caller must
+    /// not apply.
+    fn journal<'u>(&self, batch: impl FnOnce() -> Vec<&'u TupleUpdate>) -> Result<(), UpdateError> {
         let mut wal = self.lock_wal();
         let lsn = wal.last_lsn + 1;
         let WalState {
@@ -815,7 +823,7 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
             ..
         } = &mut *wal;
         if let Some(sink) = sink {
-            if let Err(e) = policy.append(sink.as_mut(), lsn, updates) {
+            if let Err(e) = policy.append(sink.as_mut(), lsn, &batch()) {
                 match policy.on_failure {
                     WalFailure::FailStop => return Err(UpdateError::Wal(e.to_string())),
                     WalFailure::FailOpen => *degraded = true,
@@ -823,7 +831,7 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
             }
         }
         wal.last_lsn = lsn;
-        Ok(lsn)
+        Ok(())
     }
 
     /// Attach a write-ahead-log sink: every subsequently accepted batch
@@ -946,56 +954,26 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
             );
         }
         // Pre-validate the whole batch before journaling or mutating
-        // anything. The verdict depends only on the shared plan, so the
+        // anything, resolving each update's indicator slots on the way.
+        // Verdict and slot ids depend only on the shared plan, so the
         // first affected shard's index can vouch for every group.
-        for u in work.iter().flat_map(|(_, g)| g.iter()) {
-            guards[0].index.validate_update(u)?;
-        }
-        // Journal write-ahead while the write locks are held; the
-        // coalesced batch is only materialized when a sink is attached,
-        // so the no-WAL ingestion hot path pays one mutex lock and an
-        // increment. On a fail-stop WAL error the locks drop with
-        // nothing applied and the LSN unadvanced.
-        {
-            let mut wal = self.lock_wal();
-            let lsn = wal.last_lsn + 1;
-            let WalState {
-                sink,
-                policy,
-                degraded,
-                ..
-            } = &mut *wal;
-            if let Some(sink) = sink {
-                let owned: Vec<TupleUpdate> = work
-                    .iter()
-                    .flat_map(|(_, g)| g.iter().map(|&u| u.clone()))
-                    .collect();
-                if let Err(e) = policy.append(sink.as_mut(), lsn, &owned) {
-                    match policy.on_failure {
-                        WalFailure::FailStop => return Err(UpdateError::Wal(e.to_string())),
-                        WalFailure::FailOpen => *degraded = true,
-                    }
+        let mut staged: Vec<Vec<Staged>> = Vec::with_capacity(work.len());
+        for (_, g) in &work {
+            let mut group = Vec::with_capacity(g.len());
+            for u in *g {
+                if let Some(slots) = guards[0].index.resolve_update(u.rel, &u.tuple, u.present)? {
+                    group.push((slots, u.present));
                 }
             }
-            wal.last_lsn = lsn;
+            staged.push(group);
         }
-        // Each group is already distinct per tuple (the coalescing pass
-        // above), so the shards take the coalesced entry points. Every
-        // group runs under `catch_unwind`: a panic (a bug, or the
+        // Journal write-ahead while the write locks are held. On a
+        // fail-stop WAL error the locks drop with nothing applied and the
+        // LSN unadvanced.
+        self.journal(|| work.iter().flat_map(|(_, g)| g.iter().copied()).collect())?;
+        // Every group runs under `catch_unwind`: a panic (a bug, or the
         // `shard.apply` / `batch.worker` fail-points) quarantines the
         // affected shards instead of crossing the facade.
-        fn apply_group<S: Semiring, P: PermMaint<S>>(
-            shard: &mut Shard<S, P>,
-            g: &[&TupleUpdate],
-        ) -> usize {
-            agq_core::fault::point("shard.apply");
-            let n = shard
-                .index
-                .apply_batch_coalesced(g)
-                .expect("batch was pre-validated");
-            shard.engine.apply_batch_coalesced(g);
-            n
-        }
         let workers = available_cores().min(work.len()).max(1);
         // Spawning threads costs tens of microseconds — far more than a
         // typical shard group. Apply on the calling thread unless there is
@@ -1003,17 +981,18 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
         let mut applied = 0usize;
         let mut panicked: Vec<usize> = Vec::new();
         if workers == 1 {
-            for (shard, (s, g)) in guards.iter_mut().zip(&work) {
+            for ((shard, (s, _)), g) in guards.iter_mut().zip(&work).zip(&staged) {
                 match catch_unwind(AssertUnwindSafe(|| apply_group(&mut **shard, g))) {
                     Ok(n) => applied += n,
                     Err(_) => panicked.push(*s),
                 }
             }
         } else {
-            let mut pairs: Vec<(usize, &mut Shard<S, P>, &[&TupleUpdate])> = guards
+            let mut pairs: Vec<(usize, &mut Shard<S, P>, &[Staged])> = guards
                 .iter_mut()
                 .zip(&work)
-                .map(|(shard, (s, g))| (*s, &mut **shard, *g))
+                .zip(&staged)
+                .map(|((shard, (s, _)), g)| (*s, &mut **shard, g.as_slice()))
                 .collect();
             let chunk = pairs.len().div_ceil(workers);
             std::thread::scope(|scope| {
@@ -1334,6 +1313,9 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
         index: AnswerIndex,
     ) -> Result<(), &'static str> {
         let cell = self.shards.get(s).ok_or("shard id out of range")?;
+        if !index.same_slots_as(&engine.compiled().slots) {
+            return Err("shard halves were compiled from different queries");
+        }
         // A poisoned lock is expected here (the quarantine was likely
         // caused by a worker panicking mid-write); the old state is
         // discarded wholesale, so recovering the guard is sound.

@@ -45,7 +45,7 @@ struct FlakySink {
 }
 
 impl WalSink for FlakySink {
-    fn append_batch(&mut self, _lsn: u64, _updates: &[TupleUpdate]) -> std::io::Result<()> {
+    fn append_batch(&mut self, _lsn: u64, _updates: &[&TupleUpdate]) -> std::io::Result<()> {
         if self.fail.load(Ordering::SeqCst) {
             Err(std::io::Error::other("injected append failure"))
         } else {
@@ -269,7 +269,7 @@ fn retry_policy_rides_through_transient_failures() {
         appends: Arc<AtomicUsize>,
     }
     impl WalSink for FailOnce {
-        fn append_batch(&mut self, _lsn: u64, _u: &[TupleUpdate]) -> std::io::Result<()> {
+        fn append_batch(&mut self, _lsn: u64, _u: &[&TupleUpdate]) -> std::io::Result<()> {
             if !self.failed {
                 self.failed = true;
                 return Err(std::io::Error::other("transient"));

@@ -77,6 +77,61 @@ fn e9_count_circuit() -> (CompiledQuery<Nat>, Vec<Nat>) {
     (compiled, slots)
 }
 
+/// The canonical scalar gather: 4-lane fold over per-child loads
+/// (`sum_children`'s exact shape, restated here because the kernel
+/// itself is crate-private). A standalone, never-inlined function — as
+/// is [`dense_sweep`] — so the two timed kernels are compiled the same
+/// way whatever else this test binary instantiates around them.
+#[inline(never)]
+fn gather_sweep(values: &[Nat], adds: &[(u32, &[GateId])]) -> Nat {
+    let mut check = Nat(0);
+    for (_, kids) in adds {
+        const LANES: usize = 4;
+        let s = if kids.len() < 2 * LANES {
+            let mut acc = Nat(0);
+            for c in *kids {
+                acc.add_assign(&values[c.0 as usize]);
+            }
+            acc
+        } else {
+            let mut lanes = [Nat(0); LANES];
+            let chunks = kids.chunks_exact(LANES);
+            let rest = chunks.remainder();
+            for chunk in chunks {
+                for (lane, c) in lanes.iter_mut().zip(chunk) {
+                    lane.add_assign(&values[c.0 as usize]);
+                }
+            }
+            let [a, b, c, d] = lanes;
+            let mut acc = a.add(&b).add(&c.add(&d));
+            for g in rest {
+                acc.add_assign(&values[g.0 as usize]);
+            }
+            acc
+        };
+        check.add_assign(&s);
+    }
+    check
+}
+
+/// The dense-run tier: slice kernels over the plan's precomputed
+/// maximal runs, scalar fold for sub-threshold runs (MIN_RUN = 4).
+#[inline(never)]
+fn dense_sweep(values: &[Nat], runs: &[(u32, u32)]) -> Nat {
+    let mut check = Nat(0);
+    for &(lo, len) in runs {
+        let seg = &values[lo as usize..(lo + len) as usize];
+        if len >= 4 {
+            check.add_assign(&Nat::sum_slice(seg));
+        } else {
+            for v in seg {
+                check.add_assign(v);
+            }
+        }
+    }
+    check
+}
+
 #[test]
 fn dense_run_coverage_and_sweep_throughput() {
     let (compiled, slots) = e9_count_circuit();
@@ -120,39 +175,7 @@ fn dense_run_coverage_and_sweep_throughput() {
         .copied()
         .collect();
 
-    // The canonical scalar gather: 4-lane fold over per-child loads
-    // (`sum_children`'s exact shape, restated here because the kernel
-    // itself is crate-private).
-    let gather_over = |adds: &[(u32, &[GateId])]| {
-        let mut check = Nat(0);
-        for (_, kids) in adds {
-            const LANES: usize = 4;
-            let s = if kids.len() < 2 * LANES {
-                let mut acc = Nat(0);
-                for c in *kids {
-                    acc.add_assign(&values[c.0 as usize]);
-                }
-                acc
-            } else {
-                let mut lanes = [Nat(0); LANES];
-                let chunks = kids.chunks_exact(LANES);
-                let rest = chunks.remainder();
-                for chunk in chunks {
-                    for (lane, c) in lanes.iter_mut().zip(chunk) {
-                        lane.add_assign(&values[c.0 as usize]);
-                    }
-                }
-                let [a, b, c, d] = lanes;
-                let mut acc = a.add(&b).add(&c.add(&d));
-                for g in rest {
-                    acc.add_assign(&values[g.0 as usize]);
-                }
-                acc
-            };
-            check.add_assign(&s);
-        }
-        check
-    };
+    let gather_over = |adds: &[(u32, &[GateId])]| gather_sweep(&values, adds);
 
     // The dense-run tier: slice kernels over the plan's precomputed
     // maximal runs, scalar fold for sub-threshold runs (MIN_RUN = 4).
@@ -164,20 +187,7 @@ fn dense_run_coverage_and_sweep_throughput() {
             .flat_map(|(g, _)| plan.add_runs(*g).iter().copied())
             .collect()
     };
-    let dense_over = |runs: &[(u32, u32)]| {
-        let mut check = Nat(0);
-        for &(lo, len) in runs {
-            let seg = &values[lo as usize..(lo + len) as usize];
-            if len >= 4 {
-                check.add_assign(&Nat::sum_slice(seg));
-            } else {
-                for v in seg {
-                    check.add_assign(v);
-                }
-            }
-        }
-        check
-    };
+    let dense_over = |runs: &[(u32, u32)]| dense_sweep(&values, runs);
 
     // Correctness: both sweeps agree over *every* add gate (the dense
     // path degrades to the same scalar fold on sub-threshold runs).

@@ -26,7 +26,7 @@ pub const PLAN_MAGIC: [u8; 4] = *b"AGQP";
 pub const SNAP_MAGIC: [u8; 4] = *b"AGQS";
 /// Format version this build reads and writes (plan and snapshot files;
 /// the WAL versions independently).
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Sizes of the artifacts one save produced, for capacity planning and
 /// the persistence benchmarks.
@@ -106,17 +106,7 @@ where
     S: Semiring + PersistValue,
     P: PermMaint<S>,
 {
-    let index = engine.answer_index();
-    let body = plan::write_bundle(&PlanRefs {
-        compiled: engine.query_engine().compiled(),
-        enum_circuit: index.machine().circuit(),
-        enum_slots: index.slot_registry(),
-        gen_weights: index.generator_weights(),
-        sig: index.signature(),
-        domain_size: index.domain_size(),
-        arity: engine.arity(),
-        dynamic: index.is_dynamic(),
-    });
+    let body = plan::write_bundle(&PlanRefs::of(engine.query_engine(), engine.answer_index()));
     write_artifact(path, PLAN_MAGIC, S::TAG, &body)
 }
 
@@ -131,25 +121,13 @@ where
     S: Semiring + PersistValue,
     P: PermMaint<S>,
 {
-    let arity = engine.arity();
-    let body = engine.with_shard(0, |qe, index| {
-        plan::write_bundle(&PlanRefs {
-            compiled: qe.compiled(),
-            enum_circuit: index.machine().circuit(),
-            enum_slots: index.slot_registry(),
-            gen_weights: index.generator_weights(),
-            sig: index.signature(),
-            domain_size: index.domain_size(),
-            arity,
-            dynamic: index.is_dynamic(),
-        })
-    });
+    let body = engine.with_shard(0, |qe, index| plan::write_bundle(&PlanRefs::of(qe, index)));
     write_artifact(path, PLAN_MAGIC, S::TAG, &body)
 }
 
 /// Load a `.agqplan` file and rebuild the derived evaluation and
-/// enumeration plans (one linear pass each — this is the step that
-/// replaces recompilation at cold start).
+/// enumeration plans (one linear pass each over the one decoded circuit
+/// — this is the step that replaces recompilation at cold start).
 pub fn load_plan<S: PersistValue>(path: impl AsRef<Path>) -> Result<LoadedPlan<S>, PersistError> {
     let body = read_artifact(path, PLAN_MAGIC, S::TAG)?;
     plan::read_bundle::<S>(&body).map(LoadedPlan::from_bundle)
@@ -262,10 +240,9 @@ where
         .map_err(PersistError::Corrupt)?;
     let index = AnswerIndex::from_saved_parts(
         machine,
-        Arc::clone(&lp.enum_slots),
-        lp.arity,
+        Arc::clone(&lp.compiled.slots),
+        lp.compiled.free_vars.len(),
         lp.dynamic,
-        Arc::clone(&lp.gen_weights),
         Arc::clone(&lp.sig),
         lp.domain_size,
     );
@@ -324,7 +301,7 @@ where
     ShardedEngine::from_saved_parts(
         meta.components,
         meta.component_local,
-        lp.arity,
+        lp.compiled.free_vars.len(),
         states,
         snap.last_lsn,
     )
@@ -432,23 +409,18 @@ where
     S: Semiring + PersistValue,
     P: PermMaint<S>,
 {
-    let plan = engine
-        .with_healthy_shard(|qe, index| {
-            (
-                Arc::clone(qe.compiled_arc()),
-                Arc::clone(qe.plan()),
-                Arc::clone(index.machine().plan()),
-                Arc::clone(index.slot_registry()),
-                Arc::clone(index.generator_weights_arc()),
-                Arc::clone(index.signature()),
-                index.domain_size(),
-                index.is_dynamic(),
-            )
+    let lp = engine
+        .with_healthy_shard(|qe, index| LoadedPlan {
+            compiled: Arc::clone(qe.compiled_arc()),
+            eval_plan: Arc::clone(qe.plan()),
+            enum_plan: Arc::clone(index.machine().plan()),
+            sig: Arc::clone(index.signature()),
+            domain_size: index.domain_size(),
+            dynamic: index.is_dynamic(),
         })
         .ok_or(PersistError::Corrupt(
             "no healthy shard to source the shared plan from; use recover_sharded instead",
         ))?;
-    let (compiled, eval_plan, enum_plan, enum_slots, gen_weights, sig, domain_size, dynamic) = plan;
 
     let body = read_artifact(snap_path, SNAP_MAGIC, S::TAG)?;
     let snap = snapshot::read_snapshot::<S>(&body)?;
@@ -466,19 +438,7 @@ where
             "snapshot has fewer shards than the live engine",
         ))?;
 
-    let mut qe: QueryEngine<S, P> =
-        QueryEngine::from_saved(compiled, eval_plan, dump.slot_values, dump.gate_values)?;
-    let machine =
-        EnumMachine::from_saved(enum_plan, dump.machine).map_err(PersistError::Corrupt)?;
-    let mut index = AnswerIndex::from_saved_parts(
-        machine,
-        enum_slots,
-        engine.arity(),
-        dynamic,
-        gen_weights,
-        sig,
-        domain_size,
-    );
+    let (mut qe, mut index) = restore_shard::<S, P>(&lp, dump)?;
 
     let scan = wal::scan_wal(wal_path)?;
     let mut replayed = 0usize;

@@ -8,15 +8,15 @@
 //!
 //! Three artifact kinds:
 //!
-//! * **`.agqplan`** — the immutable half: the point-query circuit with
-//!   its slot registry, literal table, free variables, and compile
-//!   report, plus the enumeration circuit, its registry, the generator
-//!   weights, the database signature, the domain size, arity, and
-//!   dynamic flag. Written once per compiled query; loading one skips
-//!   compilation entirely (the derived [`agq_circuit::EvalPlan`] /
+//! * **`.agqplan`** — the immutable half: the **one** circuit the
+//!   point-query, enumeration and count sides all valuate, with its slot
+//!   registry, literal table, free variables, and compile report, plus
+//!   the database signature, the domain size, and the dynamic flag.
+//!   Written once per compiled query; loading one skips compilation
+//!   entirely (the derived [`agq_circuit::EvalPlan`] /
 //!   [`agq_enumerate::EnumPlan`] adjacency structures are rebuilt by
 //!   one linear pass each, since they are pure functions of the
-//!   circuit).
+//!   circuit) and hands every shard the same `Arc`s.
 //! * **`.agqsnap`** — the mutable half: per shard, the evaluator's slot
 //!   values and committed gate values and the enumeration machine's
 //!   provenance supports, captured at one LSN. Sharded snapshots are
@@ -36,11 +36,32 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic           — "AGQP" (plan) / "AGQS" (snapshot)
-//! 4       4     version u32     — FORMAT_VERSION (currently 1)
+//! 4       4     version u32     — FORMAT_VERSION (currently 2)
 //! 8       1     carrier tag u8  — PersistValue::TAG of the semiring
 //! 9       n     body            — bundle payload (plan.rs / snapshot.rs)
 //! 9+n     4     crc u32         — CRC-32 (IEEE) of the body bytes
 //! ```
+//!
+//! The version-2 plan body, in order (`plan.rs`):
+//!
+//! ```text
+//! dynamic u8 · domain size u64
+//! circuit         slots u32, lits u32, output u32, child arena (u64 n,
+//!                 n × u32), gates (u64 n, n × tagged gate)
+//! slot registry   u64 n, n × tagged key — `FreeVar(i, a)` is both the
+//!                 point query's v_i(a) and the enumeration's e^i_a
+//! literal table   u64 n, n × carrier value
+//! free variables  u64 n, n × u32 (their count is the arity)
+//! compile report  u32, 2 × u64, u32, 7 × u64
+//! dedup tag u8    0: the circuit above serves enumeration too (the
+//!                 writer compares structurally, so independently
+//!                 compiled halves land here as well);
+//!                 1: a differing enumeration circuit follows
+//! signature       relations, then weights: u64 n, n × (string, u8)
+//! ```
+//!
+//! Version 1 stored the circuit and the registry once per side; its
+//! files are refused, not migrated — recompile and save again.
 //!
 //! A wrong magic, an unknown version, a foreign carrier tag, and a
 //! trailer mismatch each map to their own [`PersistError`] variant; a

@@ -1,11 +1,16 @@
-//! Plan serialization: the compiled, immutable half of an engine —
-//! point-query [`CompiledQuery`] plus the enumeration circuit and its
-//! metadata — written once to a `.agqplan` file so cold start skips
-//! Theorem 6 compilation entirely.
+//! Plan serialization: the compiled, immutable half of an engine — the
+//! one circuit all three valuations run on, its slot registry, literal
+//! table and compile report, plus the database signature — written once
+//! to a `.agqplan` file so cold start skips Theorem 6 compilation
+//! entirely.
 //!
-//! Only the **canonical flat buffers** are stored: the circuits' gate
-//! and child arenas, the slot-key registries, literal tables, and the
-//! enumeration-side signature. The derived adjacency structures
+//! Only the **canonical flat buffers** are stored, and each once: the
+//! circuit's gate and child arenas and the slot-key registry serve the
+//! point-query, enumeration and count sides alike. The writer dedups the
+//! enumeration side's circuit against the point side's by *structural*
+//! equality, so an engine assembled from independently compiled halves
+//! also saves one copy; a circuit that really differs is kept, behind a
+//! one-byte tag. The derived adjacency structures
 //! ([`agq_circuit::EvalPlan`], [`agq_enumerate::EnumPlan`] — parent
 //! CSRs, cone memos, dense-run tables, perm-pool layout) are *pure
 //! functions of the circuit*, recomputed by one linear counting pass at
@@ -16,84 +21,66 @@ use crate::codec::{ByteReader, ByteWriter};
 use crate::error::PersistError;
 use crate::value::{read_values, write_values, PersistValue};
 use agq_circuit::{ChildRange, Circuit, ConstRef, GateDef, GateId};
-use agq_core::{CompileReport, CompiledQuery, SlotKey, SlotRegistry};
+use agq_core::{CompileReport, CompiledQuery, QueryEngine, SlotKey, SlotRegistry};
+use agq_enumerate::{AnswerIndex, EnumPlan};
 use agq_logic::Var;
 use agq_structure::{RelId, Signature, Tuple, WeightId, MAX_ARITY};
 use std::sync::Arc;
 
-/// Everything the `.agqplan` file captures for one bound query: the
-/// point-query compile output plus the enumeration side's plan inputs.
+/// Everything the `.agqplan` file captures for one bound query.
 pub struct PlanBundle<S> {
-    /// The point-query compile output.
+    /// The compile output: circuit, slot registry, literals, free
+    /// variables, report.
     pub compiled: CompiledQuery<S>,
-    /// The enumeration circuit (drives [`agq_enumerate::EnumPlan`]).
+    /// The enumeration circuit — the same `Arc` as `compiled.circuit`
+    /// unless the file carried a differing one.
     pub enum_circuit: Arc<Circuit>,
-    /// Slot registry of the enumeration circuit.
-    pub enum_slots: SlotRegistry,
-    /// Generator weight symbols, one per free-variable position.
-    pub gen_weights: Vec<WeightId>,
-    /// The original database signature (update validation).
+    /// Signature of the compiled structure (update validation).
     pub sig: Signature,
     /// Domain size of the indexed structure.
     pub domain_size: usize,
-    /// Answer-tuple arity.
-    pub arity: usize,
     /// Whether the engine was built with dynamic-update support.
     pub dynamic: bool,
 }
 
 /// A loaded plan with its derived evaluation structures rebuilt and
 /// shared behind `Arc`s, ready to instantiate any number of engine
-/// shards over.
+/// shards over: one circuit, one registry and one evaluation plan back
+/// the point queries, the enumeration and the count side of every shard.
 pub struct LoadedPlan<S> {
-    /// The point-query compile output.
+    /// The compile output.
     pub compiled: Arc<CompiledQuery<S>>,
     /// Derived point-evaluation plan (parent CSR, cones, dense runs).
     pub eval_plan: Arc<agq_circuit::EvalPlan>,
-    /// Derived enumeration plan.
-    pub enum_plan: Arc<agq_enumerate::EnumPlan>,
-    /// Slot registry of the enumeration circuit.
-    pub enum_slots: Arc<SlotRegistry>,
-    /// Generator weight symbols.
-    pub gen_weights: Arc<Vec<WeightId>>,
-    /// The original database signature.
+    /// Derived enumeration plan (over `eval_plan`'s circuit, and running
+    /// its count side on `eval_plan`, unless the file carried a
+    /// differing enumeration circuit).
+    pub enum_plan: Arc<EnumPlan>,
+    /// Signature of the compiled structure.
     pub sig: Arc<Signature>,
     /// Domain size of the indexed structure.
     pub domain_size: usize,
-    /// Answer-tuple arity.
-    pub arity: usize,
     /// Whether the engine was built with dynamic-update support.
     pub dynamic: bool,
 }
 
 impl<S> LoadedPlan<S> {
     /// Rebuild the derived plans from a parsed bundle. Each rebuild is
-    /// one linear counting pass over its circuit — the cheap step that
+    /// one linear counting pass over the circuit — the cheap step that
     /// stands in for the full Theorem 6 compilation at cold start.
     pub fn from_bundle(bundle: PlanBundle<S>) -> Self {
-        // Same cone-slot selection as `QueryEngine::build_plan`: update
-        // cones are rooted at the free-variable indicator inputs.
-        let cone_slots: Vec<u32> = bundle
-            .compiled
-            .slots
-            .iter()
-            .filter(|(_, key)| matches!(key, SlotKey::FreeVar(..)))
-            .map(|(slot, _)| slot)
-            .collect();
-        let eval_plan = Arc::new(agq_circuit::EvalPlan::with_cones(
-            Arc::clone(&bundle.compiled.circuit),
-            &cone_slots,
-        ));
-        let enum_plan = Arc::new(agq_enumerate::EnumPlan::new(bundle.enum_circuit));
+        let eval_plan = Arc::new(bundle.compiled.eval_plan());
+        let enum_plan = if Arc::ptr_eq(&bundle.enum_circuit, &bundle.compiled.circuit) {
+            EnumPlan::with_eval_plan(Arc::clone(&eval_plan))
+        } else {
+            EnumPlan::new(bundle.enum_circuit)
+        };
         LoadedPlan {
             compiled: Arc::new(bundle.compiled),
             eval_plan,
-            enum_plan,
-            enum_slots: Arc::new(bundle.enum_slots),
-            gen_weights: Arc::new(bundle.gen_weights),
+            enum_plan: Arc::new(enum_plan),
             sig: Arc::new(bundle.sig),
             domain_size: bundle.domain_size,
-            arity: bundle.arity,
             dynamic: bundle.dynamic,
         }
     }
@@ -335,23 +322,43 @@ fn read_report(r: &mut ByteReader) -> Result<CompileReport, PersistError> {
 /// What `write_bundle` needs from a live engine, borrowed — saving
 /// never clones the (large) compiled artifacts.
 pub struct PlanRefs<'a, S> {
-    /// The point-query compile output.
+    /// The compile output (circuit, registry, literals, report).
     pub compiled: &'a CompiledQuery<S>,
-    /// The enumeration circuit.
+    /// The enumeration side's circuit (normally the very same one).
     pub enum_circuit: &'a Circuit,
-    /// Slot registry of the enumeration circuit.
-    pub enum_slots: &'a SlotRegistry,
-    /// Generator weight symbols, one per free-variable position.
-    pub gen_weights: &'a [WeightId],
-    /// The original database signature.
+    /// Signature of the compiled structure.
     pub sig: &'a Signature,
     /// Domain size of the indexed structure.
     pub domain_size: usize,
-    /// Answer-tuple arity.
-    pub arity: usize,
     /// Whether the engine was built with dynamic-update support.
     pub dynamic: bool,
 }
+
+impl<'a, S> PlanRefs<'a, S> {
+    /// Borrow the plan of one `(point, enumeration)` pair of valuations.
+    /// The engines guarantee the two halves number their slots alike, so
+    /// the point side's registry speaks for both.
+    pub fn of<P: agq_circuit::PermMaint<S>>(
+        engine: &'a QueryEngine<S, P>,
+        index: &'a AnswerIndex,
+    ) -> Self
+    where
+        S: agq_semiring::Semiring,
+    {
+        PlanRefs {
+            compiled: engine.compiled(),
+            enum_circuit: index.machine().circuit(),
+            sig: index.signature(),
+            domain_size: index.domain_size(),
+            dynamic: index.is_dynamic(),
+        }
+    }
+}
+
+/// Enumeration-circuit tag: the point circuit serves enumeration too.
+const ENUM_SHARED: u8 = 0;
+/// Enumeration-circuit tag: a differing circuit follows.
+const ENUM_OWN: u8 = 1;
 
 /// Serialize a plan bundle into the body bytes of a `.agqplan` file
 /// (header and checksum trailer are added by the file layer in
@@ -359,9 +366,7 @@ pub struct PlanRefs<'a, S> {
 pub fn write_bundle<S: PersistValue>(refs: &PlanRefs<'_, S>) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u8(refs.dynamic as u8);
-    w.u64(refs.arity as u64);
     w.u64(refs.domain_size as u64);
-    // point side
     write_circuit(&mut w, &refs.compiled.circuit);
     write_slots(&mut w, &refs.compiled.slots);
     write_values(&mut w, &refs.compiled.lits);
@@ -370,12 +375,14 @@ pub fn write_bundle<S: PersistValue>(refs: &PlanRefs<'_, S>) -> Vec<u8> {
         w.u32(v.0);
     }
     write_report(&mut w, &refs.compiled.report);
-    // enumeration side
-    write_circuit(&mut w, refs.enum_circuit);
-    write_slots(&mut w, refs.enum_slots);
-    w.len_prefix(refs.gen_weights.len());
-    for g in refs.gen_weights {
-        w.u32(g.0);
+    // Structural dedup: halves compiled independently hold equal
+    // circuits behind different `Arc`s.
+    let point: &Circuit = &refs.compiled.circuit;
+    if std::ptr::eq(point, refs.enum_circuit) || point == refs.enum_circuit {
+        w.u8(ENUM_SHARED);
+    } else {
+        w.u8(ENUM_OWN);
+        write_circuit(&mut w, refs.enum_circuit);
     }
     write_signature(&mut w, refs.sig);
     w.into_bytes()
@@ -391,10 +398,8 @@ pub fn read_bundle<S: PersistValue>(body: &[u8]) -> Result<PlanBundle<S>, Persis
         1 => true,
         _ => return Err(PersistError::Corrupt("dynamic flag is neither 0 nor 1")),
     };
-    let arity = r.u64()? as usize;
     let domain_size = r.u64()? as usize;
-    // point side
-    let circuit = read_circuit(&mut r)?;
+    let circuit = Arc::new(read_circuit(&mut r)?);
     let slots = read_slots(&mut r)?;
     if slots.len() != circuit.num_slots() {
         return Err(PersistError::Corrupt(
@@ -413,32 +418,17 @@ pub fn read_bundle<S: PersistValue>(body: &[u8]) -> Result<PlanBundle<S>, Persis
         free_vars.push(Var(r.u32()?));
     }
     let report = read_report(&mut r)?;
-    let compiled = CompiledQuery {
-        circuit: Arc::new(circuit),
-        slots,
-        lits,
-        free_vars,
-        report,
+    let enum_circuit = match r.u8()? {
+        ENUM_SHARED => Arc::clone(&circuit),
+        ENUM_OWN => Arc::new(read_circuit(&mut r)?),
+        _ => return Err(PersistError::Corrupt("unknown enumeration-circuit tag")),
     };
-    // enumeration side
-    let enum_circuit = read_circuit(&mut r)?;
     if enum_circuit.num_lits() != 0 {
         return Err(PersistError::Corrupt("enumeration circuit has literals"));
     }
-    let enum_slots = read_slots(&mut r)?;
-    if enum_slots.len() != enum_circuit.num_slots() {
+    if enum_circuit.num_slots() != slots.len() {
         return Err(PersistError::Corrupt(
-            "enumeration slot registry disagrees with circuit",
-        ));
-    }
-    let n_gen = r.len_prefix(4)?;
-    let mut gen_weights = Vec::with_capacity(n_gen);
-    for _ in 0..n_gen {
-        gen_weights.push(WeightId(r.u32()?));
-    }
-    if gen_weights.len() != arity {
-        return Err(PersistError::Corrupt(
-            "generator count disagrees with arity",
+            "slot registry disagrees with enumeration circuit",
         ));
     }
     let sig = read_signature(&mut r)?;
@@ -446,13 +436,16 @@ pub fn read_bundle<S: PersistValue>(body: &[u8]) -> Result<PlanBundle<S>, Persis
         return Err(PersistError::Corrupt("trailing bytes after plan bundle"));
     }
     Ok(PlanBundle {
-        compiled,
-        enum_circuit: Arc::new(enum_circuit),
-        enum_slots,
-        gen_weights,
+        compiled: CompiledQuery {
+            circuit,
+            slots: Arc::new(slots),
+            lits,
+            free_vars,
+            report,
+        },
+        enum_circuit,
         sig,
         domain_size,
-        arity,
         dynamic,
     })
 }

@@ -124,7 +124,7 @@ impl FileWal {
 }
 
 impl WalSink for FileWal {
-    fn append_batch(&mut self, lsn: u64, updates: &[TupleUpdate]) -> std::io::Result<()> {
+    fn append_batch(&mut self, lsn: u64, updates: &[&TupleUpdate]) -> std::io::Result<()> {
         for u in updates {
             self.out.write_all(&frame(&encode_update(u)))?;
         }
@@ -332,9 +332,9 @@ mod tests {
     fn append_scan_roundtrip() {
         let path = tmp("roundtrip");
         let mut wal = FileWal::create(&path).unwrap();
-        wal.append_batch(1, &[upd(0, 1, 2, true), upd(0, 2, 3, true)])
+        wal.append_batch(1, &[&upd(0, 1, 2, true), &upd(0, 2, 3, true)])
             .unwrap();
-        wal.append_batch(2, &[upd(0, 1, 2, false)]).unwrap();
+        wal.append_batch(2, &[&upd(0, 1, 2, false)]).unwrap();
         WalSink::flush(&mut wal).unwrap();
         let scan = scan_wal(&path).unwrap();
         assert_eq!(scan.batches.len(), 2);
@@ -350,11 +350,11 @@ mod tests {
     fn torn_tail_detected_and_bounded() {
         let path = tmp("torn");
         let mut wal = FileWal::create(&path).unwrap();
-        wal.append_batch(1, &[upd(0, 1, 2, true)]).unwrap();
+        wal.append_batch(1, &[&upd(0, 1, 2, true)]).unwrap();
         WalSink::flush(&mut wal).unwrap();
         let good_len = std::fs::metadata(&path).unwrap().len();
         // A second batch cut off mid-record.
-        wal.append_batch(2, &[upd(0, 5, 6, true)]).unwrap();
+        wal.append_batch(2, &[&upd(0, 5, 6, true)]).unwrap();
         WalSink::flush(&mut wal).unwrap();
         let full = std::fs::metadata(&path).unwrap().len();
         let f = OpenOptions::new().write(true).open(&path).unwrap();
@@ -371,7 +371,7 @@ mod tests {
     fn bit_flip_detected() {
         let path = tmp("flip");
         let mut wal = FileWal::create(&path).unwrap();
-        wal.append_batch(1, &[upd(0, 1, 2, true)]).unwrap();
+        wal.append_batch(1, &[&upd(0, 1, 2, true)]).unwrap();
         WalSink::flush(&mut wal).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = WAL_HEADER_LEN as usize + 10;
@@ -387,7 +387,7 @@ mod tests {
     fn open_append_truncates_tail() {
         let path = tmp("reopen");
         let mut wal = FileWal::create(&path).unwrap();
-        wal.append_batch(1, &[upd(0, 1, 2, true)]).unwrap();
+        wal.append_batch(1, &[&upd(0, 1, 2, true)]).unwrap();
         WalSink::flush(&mut wal).unwrap();
         drop(wal);
         // Simulate a crash mid-append: garbage after the committed batch.
@@ -396,7 +396,7 @@ mod tests {
         drop(f);
         let (mut wal, last) = FileWal::open_append(&path).unwrap();
         assert_eq!(last, 1);
-        wal.append_batch(2, &[upd(0, 3, 4, true)]).unwrap();
+        wal.append_batch(2, &[&upd(0, 3, 4, true)]).unwrap();
         WalSink::flush(&mut wal).unwrap();
         let scan = scan_wal(&path).unwrap();
         assert_eq!(scan.batches.len(), 2);

@@ -4,13 +4,22 @@
 //! Pins the two properties that make the persistence layer worth its
 //! bytes:
 //!
-//! 1. **Plan load beats recompile by ≥ 5×.** `.agqplan` stores the
-//!    canonical flat circuit buffers; loading is a linear decode plus
-//!    the linear `EvalPlan`/`EnumPlan` rebuilds, while recompiling
-//!    re-runs tree-decomposition, circuit construction, and slot
-//!    binding. Measured ≈ 20–80× at this size; the 5× gate leaves
-//!    headroom for noisy CI while still catching a load path that
-//!    accidentally re-enters the compiler.
+//! 1. **Plan load beats recompile by ≥ 5×, and a full restart from
+//!    disk beats a rebuild by ≥ 2×.** `.agqplan` stores the canonical
+//!    flat circuit buffers — once, since format version 2; loading is a
+//!    linear decode plus the linear `EvalPlan`/`EnumPlan` rebuilds,
+//!    while a build re-runs tree-decomposition, circuit construction,
+//!    and slot binding. The baseline is the one-call `build_dynamic`,
+//!    which since the halves share one circuit compiles **once** — it
+//!    is ≈ 1.5× cheaper than the twice-compiling build BENCH_7 measured
+//!    its 11.3× against, so the ratios are lower than they were while
+//!    every side is faster: measured on the 2-vCPU VM, `load_plan`
+//!    ≈ 1.1 s and `load_engine` (plan + 67 MB snapshot decode + state
+//!    restore) ≈ 1.5–1.7 s against a ≈ 8 s build, i.e. ≈ 7.5× and
+//!    ≈ 5×. The 5× gate sits on the plan load — the step that stands in
+//!    for compilation, and the one a load path that accidentally
+//!    re-enters the compiler would blow — and the whole restart keeps a
+//!    2× gate of its own with headroom for noisy CI.
 //!
 //! 2. **Snapshot + WAL restart beats a cold rebuild.** Recovering from
 //!    a snapshot plus a 64-batch WAL tail must come in under the time a
@@ -29,7 +38,7 @@ use agq_enumerate::EnumQueryEngine;
 use agq_graph::generators;
 use agq_logic::{Formula, Var};
 use agq_perm::SegTreePerm;
-use agq_persist::{attach_file_wal, load_engine, recover_engine, save_engine};
+use agq_persist::{attach_file_wal, load_engine, load_plan, recover_engine, save_engine};
 use agq_semiring::F64;
 use agq_structure::{RelId, Signature, Structure};
 use std::path::PathBuf;
@@ -69,8 +78,11 @@ fn scratch(label: &str) -> (PathBuf, PathBuf, PathBuf) {
 #[test]
 fn plan_load_beats_recompile() {
     /// Loading a serialized plan must be at least this many times
-    /// faster than compiling it from the formula.
-    const SPEEDUP_FLOOR: f64 = 5.0;
+    /// faster than building the engine from the formula.
+    const PLAN_SPEEDUP_FLOOR: f64 = 5.0;
+    /// Loading the whole engine (plan + snapshot) must be at least this
+    /// many times faster than building it.
+    const ENGINE_SPEEDUP_FLOOR: f64 = 2.0;
 
     let n = 16_000;
     let (a, phi, _) = e9_workload(n);
@@ -85,12 +97,24 @@ fn plan_load_beats_recompile() {
     let rebuilt = Engine::build_dynamic(&a, &phi, &opts).expect("rebuild");
     let t_compile = t.elapsed();
     assert_eq!(engine.count(), rebuilt.count());
+    drop(rebuilt);
 
     let (plan, snap, _wal) = scratch("planload");
     save_engine(&engine, &plan, &snap).expect("save");
 
-    // Warm the file cache with one load, then time the second.
-    load_engine::<F64, SegTreePerm<F64>>(&plan, &snap).expect("first load");
+    // Warm the file cache (and the allocator) with one load each, then
+    // time the second.
+    drop(load_plan::<F64>(&plan).expect("first plan load"));
+    let t = Instant::now();
+    let lp = load_plan::<F64>(&plan).expect("second plan load");
+    let t_plan = t.elapsed();
+    assert_eq!(lp.compiled.circuit.len(), {
+        let compiled = engine.query_engine().compiled();
+        compiled.circuit.len()
+    });
+    drop(lp);
+
+    drop(load_engine::<F64, SegTreePerm<F64>>(&plan, &snap).expect("first load"));
     let t = Instant::now();
     let loaded = load_engine::<F64, SegTreePerm<F64>>(&plan, &snap).expect("second load");
     let t_load = t.elapsed();
@@ -100,12 +124,22 @@ fn plan_load_beats_recompile() {
         engine.count(),
         "loaded engine answers match"
     );
-    let speedup = t_compile.as_secs_f64() / t_load.as_secs_f64();
+    let plan_speedup = t_compile.as_secs_f64() / t_plan.as_secs_f64();
+    let engine_speedup = t_compile.as_secs_f64() / t_load.as_secs_f64();
+    eprintln!(
+        "plan_load_beats_recompile: build {t_compile:?}, load_plan {t_plan:?} \
+         ({plan_speedup:.1}×), load_engine {t_load:?} ({engine_speedup:.1}×)"
+    );
     assert!(
-        speedup >= SPEEDUP_FLOOR,
-        "plan load {t_load:?} is only {speedup:.1}× faster than recompile \
-         {t_compile:?}; floor is {SPEEDUP_FLOOR}× — the load path is doing \
+        plan_speedup >= PLAN_SPEEDUP_FLOOR,
+        "plan load {t_plan:?} is only {plan_speedup:.1}× faster than a build \
+         {t_compile:?}; floor is {PLAN_SPEEDUP_FLOOR}× — the load path is doing \
          compiler work"
+    );
+    assert!(
+        engine_speedup >= ENGINE_SPEEDUP_FLOOR,
+        "engine load {t_load:?} is only {engine_speedup:.1}× faster than a build \
+         {t_compile:?}; floor is {ENGINE_SPEEDUP_FLOOR}×"
     );
 }
 
@@ -116,7 +150,9 @@ fn wal_recovery_beats_cold_rebuild() {
     /// restart path would be slower than throwing the state away.
     const REBUILD_FRACTION: f64 = 1.0;
     /// Absolute ceiling so a slow baseline can't mask a quadratic
-    /// replay loop; the measured recovery is tens of milliseconds.
+    /// replay loop; the measured recovery is ≈ 4.3 s on the 2-vCPU VM
+    /// (≈ 1.4 s of it the plan + snapshot load) against a ≈ 6.8 s
+    /// rebuild.
     const ABSOLUTE_CEILING: Duration = Duration::from_secs(10);
 
     let n = 16_000;
@@ -181,6 +217,7 @@ fn wal_recovery_beats_cold_rebuild() {
         "64-batch recovery took {t_recover:?}; ceiling {ABSOLUTE_CEILING:?}"
     );
     let fraction = t_recover.as_secs_f64() / t_rebuild.as_secs_f64();
+    eprintln!("wal_recovery_beats_cold_rebuild: rebuild {t_rebuild:?}, recover {t_recover:?}");
     assert!(
         fraction < REBUILD_FRACTION,
         "recovery {t_recover:?} is {:.0}% of a cold rebuild ({t_rebuild:?}); \

@@ -240,6 +240,38 @@ fn corrupted_plan_body_is_checksum_mismatch() {
 }
 
 #[test]
+fn damaged_enumeration_circuit_tag_is_a_typed_error() {
+    let (_live, plan, snap, _wal) = save_and_churn("tag", 1);
+    let bytes = std::fs::read(&plan).unwrap();
+    // A version-2 plan body ends `… compile report | enumeration-circuit
+    // tag u8 | signature`, and `build()`'s signature is two relations
+    // ("E"/2, "S"/1) and no weights: two u64 counts plus, per relation, a
+    // length-prefixed one-byte name and an arity byte.
+    let sig_len = 8 + 2 * (8 + 1 + 1) + 8;
+    let tag_at = bytes.len() - 4 - sig_len - 1;
+    assert_eq!(
+        bytes[tag_at], 0,
+        "a one-call engine stores its circuit once"
+    );
+    // 7 is no tag at all; 1 announces a second circuit that is not there
+    // (the decoder then reads the signature bytes as one).
+    for bad in [7u8, 1] {
+        let mut damaged = bytes.clone();
+        damaged[tag_at] = bad;
+        // Re-seal the checksum so the damage reaches the body decoder.
+        let body_end = damaged.len() - 4;
+        let crc = agq_persist::crc32::crc32(&damaged[9..body_end]);
+        damaged[body_end..].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&plan, &damaged).unwrap();
+        match load_engine::<F64, SegTreePerm<F64>>(&plan, &snap) {
+            Err(PersistError::Corrupt(_)) => {}
+            Err(other) => panic!("tag {bad}: expected Corrupt, got {other:?}"),
+            Ok(_) => panic!("tag {bad}: expected Corrupt, got a loaded engine"),
+        }
+    }
+}
+
+#[test]
 fn carrier_mismatch_is_a_clean_error() {
     use agq_circuit::RingMaint;
     use agq_semiring::Int;
