@@ -467,6 +467,22 @@ impl<S: Semiring, P: PermMaint<S>> DynEvaluator<S, P> {
         assert_eq!(slots.len(), circuit.num_slots());
         assert_eq!(lits.len(), circuit.num_lits());
         let values = crate::eval_gates(circuit, slots, lits);
+        let perms = Self::build_perms(&plan, &values);
+        DynEvaluator {
+            plan,
+            values,
+            perms,
+            slot_values: slots.to_vec(),
+            dirty: BinaryHeap::new(),
+            perm_pending: Vec::new(),
+            perm_flush: Vec::new(),
+        }
+    }
+
+    /// The perm-gate maintenance structures, dense, in gate order, each
+    /// built over the matrix gathered from its children's `values`.
+    fn build_perms(plan: &EvalPlan, values: &[S]) -> Vec<P> {
+        let circuit = &plan.circuit;
         let mut perms: Vec<P> = Vec::with_capacity(plan.num_perms);
         for g in circuit.gates() {
             if let GateDef::Perm { rows, cols } = g {
@@ -482,15 +498,7 @@ impl<S: Semiring, P: PermMaint<S>> DynEvaluator<S, P> {
                 perms.push(P::build(m));
             }
         }
-        DynEvaluator {
-            plan,
-            values,
-            perms,
-            slot_values: slots.to_vec(),
-            dirty: BinaryHeap::new(),
-            perm_pending: Vec::new(),
-            perm_flush: Vec::new(),
-        }
+        perms
     }
 
     /// Reinstate a previously saved state over a shared plan without
@@ -518,21 +526,7 @@ impl<S: Semiring, P: PermMaint<S>> DynEvaluator<S, P> {
         if values.len() != circuit.len() {
             return Err("saved gate-value count does not match plan");
         }
-        let mut perms: Vec<P> = Vec::with_capacity(plan.num_perms);
-        for g in circuit.gates() {
-            if let GateDef::Perm { rows, cols } = g {
-                let k = *rows as usize;
-                let cols = circuit.children(*cols);
-                let mut m = ColMatrix::with_capacity(k, cols.len() / k);
-                let mut buf = Vec::with_capacity(k);
-                for col in cols.chunks_exact(k) {
-                    buf.clear();
-                    buf.extend(col.iter().map(|g| values[g.0 as usize].clone()));
-                    m.push_col(&buf);
-                }
-                perms.push(P::build(m));
-            }
-        }
+        let perms = Self::build_perms(&plan, &values);
         Ok(DynEvaluator {
             plan,
             values,

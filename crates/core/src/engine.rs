@@ -74,111 +74,6 @@ impl TupleUpdate {
     }
 }
 
-/// A durability hook: a sink that records committed update batches as a
-/// write-ahead-log stream. Engines that ingest [`TupleUpdate`] batches
-/// call [`append_batch`](WalSink::append_batch) once per *applied* batch,
-/// tagging it with a monotonically increasing log sequence number (LSN);
-/// a snapshot taken at LSN `n` plus a replay of every logged batch with
-/// LSN `> n` reconstructs the live state (replay overlap is harmless —
-/// tuple updates are idempotent set-membership writes).
-///
-/// The trait lives here, below the engines in the dependency graph, so
-/// any engine layer can carry a sink without knowing the on-disk format;
-/// `agq-persist` provides the checksummed file-backed implementation.
-pub trait WalSink: Send {
-    /// Append one committed batch under sequence number `lsn`. The
-    /// updates are borrowed from the caller's (coalesced) batch, so
-    /// journaling never clones a tuple.
-    fn append_batch(&mut self, lsn: u64, updates: &[&TupleUpdate]) -> std::io::Result<()>;
-
-    /// Flush buffered records to durable storage.
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// What an engine does when a WAL append still fails after the
-/// [`DurabilityPolicy`]'s bounded retries.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WalFailure {
-    /// Reject the batch: nothing is applied in memory, the LSN is not
-    /// advanced, and the caller gets a typed WAL error. Durability is
-    /// preserved at the cost of availability.
-    FailStop,
-    /// Apply the batch anyway and keep serving, but mark the engine
-    /// `wal_degraded` so health reporting (and operators) can see that
-    /// the in-memory state has run ahead of the durable log. Availability
-    /// is preserved at the cost of durability.
-    FailOpen,
-}
-
-/// How hard an engine tries to journal a batch before giving up, and
-/// what "giving up" means. Engines journal **write-ahead**: the batch is
-/// appended (and flushed) under this policy *before* any in-memory state
-/// changes, so [`WalFailure::FailStop`] can reject a batch with the
-/// engine untouched.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DurabilityPolicy {
-    /// Total append attempts (≥ 1; `0` is treated as `1`).
-    pub attempts: u32,
-    /// Sleep before the first retry; doubles per subsequent retry.
-    pub backoff: std::time::Duration,
-    /// Behaviour after the last attempt fails.
-    pub on_failure: WalFailure,
-}
-
-impl Default for DurabilityPolicy {
-    /// Three attempts, 1 ms initial backoff, fail-stop.
-    fn default() -> Self {
-        DurabilityPolicy {
-            attempts: 3,
-            backoff: std::time::Duration::from_millis(1),
-            on_failure: WalFailure::FailStop,
-        }
-    }
-}
-
-impl DurabilityPolicy {
-    /// The default retry schedule but fail-open on exhaustion.
-    pub fn fail_open() -> Self {
-        DurabilityPolicy {
-            on_failure: WalFailure::FailOpen,
-            ..DurabilityPolicy::default()
-        }
-    }
-
-    /// Append + flush one batch under this policy's retry schedule.
-    /// Returns the last error once `attempts` attempts have failed; the
-    /// caller decides between fail-stop and fail-open via
-    /// [`on_failure`](DurabilityPolicy::on_failure). Each attempt passes
-    /// through the `wal.append` fail-point.
-    pub fn append(
-        &self,
-        sink: &mut dyn WalSink,
-        lsn: u64,
-        updates: &[&TupleUpdate],
-    ) -> std::io::Result<()> {
-        let attempts = self.attempts.max(1);
-        let mut delay = self.backoff;
-        for attempt in 1..=attempts {
-            let res = crate::fault::io_point("wal.append")
-                .and_then(|()| sink.append_batch(lsn, updates))
-                .and_then(|()| sink.flush());
-            match res {
-                Ok(()) => return Ok(()),
-                Err(e) if attempt == attempts => return Err(e),
-                Err(_) => {
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-                    delay = delay.saturating_mul(2);
-                }
-            }
-        }
-        unreachable!("loop returns on the last attempt")
-    }
-}
-
 /// Why an engine state could not be instantiated over given plan halves —
 /// the typed replacement for the assertion failures a corrupt or
 /// mismatched snapshot used to trigger deep inside the evaluator.
@@ -423,59 +318,35 @@ impl<S: Semiring, P: PermMaint<S>> QueryEngine<S, P> {
     /// amortized across one reusable scratch per worker.
     ///
     /// Because the zero-restore overlay never mutates the evaluator, the
-    /// batch fans out over threads — something the classic update/restore
-    /// path structurally cannot do. `threads = 0` uses one worker per
-    /// available core; results are returned in input order regardless.
+    /// batch fans out over one worker per available core — something the
+    /// classic update/restore path structurally cannot do. Results are
+    /// returned in input order regardless.
     pub fn query_batch(&self, tuples: &[&[Elem]]) -> Vec<S>
     where
         P: Sync,
     {
-        self.query_batch_threads(tuples, 0)
-    }
-
-    /// [`QueryEngine::query_batch`] with an explicit worker count
-    /// (`0` = one per core, `1` = run on the calling thread).
-    pub fn query_batch_threads(&self, tuples: &[&[Elem]], threads: usize) -> Vec<S>
-    where
-        P: Sync,
-    {
-        let threads = match threads {
-            0 => crate::available_cores(),
-            t => t,
-        }
-        .min(tuples.len())
-        .max(1);
-        let run_chunk = |chunk: &[&[Elem]], out: &mut Vec<S>| {
+        let run_chunk = |chunk: &[&[Elem]]| -> Vec<S> {
             let mut scratch = PeekScratch::new();
             let mut patches = Vec::new();
-            for tuple in chunk {
-                out.push(self.query_with(tuple, &mut scratch, &mut patches));
-            }
+            chunk
+                .iter()
+                .map(|tuple| self.query_with(tuple, &mut scratch, &mut patches))
+                .collect()
         };
+        let threads = crate::available_cores().min(tuples.len());
         if threads <= 1 {
-            let mut out = Vec::with_capacity(tuples.len());
-            run_chunk(tuples, &mut out);
-            return out;
+            return run_chunk(tuples);
         }
-        let chunk_size = tuples.len().div_ceil(threads);
-        let mut results: Vec<Vec<S>> = Vec::with_capacity(threads);
         std::thread::scope(|scope| {
-            let run_chunk = &run_chunk;
             let handles: Vec<_> = tuples
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        let mut out = Vec::with_capacity(chunk.len());
-                        run_chunk(chunk, &mut out);
-                        out
-                    })
-                })
+                .chunks(tuples.len().div_ceil(threads))
+                .map(|chunk| scope.spawn(move || run_chunk(chunk)))
                 .collect();
-            for h in handles {
-                results.push(h.join().expect("batch worker"));
-            }
-        });
-        results.into_iter().flatten().collect()
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("batch worker"))
+                .collect()
+        })
     }
 
     /// Value at a free-variable tuple via the classic `2|x̄|`

@@ -15,7 +15,10 @@
 //!
 //! Without the `failpoints` cargo feature both hooks compile to inlined
 //! no-ops — zero branches, zero atomics — so the production binary pays
-//! nothing (measured by `bench8` in the experiment harness). With the
+//! nothing. That is true by construction (the disabled hooks are
+//! `#[inline(always)]` functions with empty bodies, at the bottom of
+//! this file); the last measurement of it, ≈ 0.3–0.5 ns of loop
+//! overhead per call, is frozen in `README.md`. With the
 //! feature enabled, each site keeps a hit counter and a scripted
 //! schedule, and every firing decision is a pure function of
 //! `(schedule, hit number)` — **deterministic**: the same schedule and

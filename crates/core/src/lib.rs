@@ -9,8 +9,8 @@
 //! number of permanent rows; all of these are measured by
 //! [`agq_circuit::CircuitStats`] and checked in the experiment suite.
 //!
-//! The pipeline (Section A of the paper's appendix, engineered as
-//! described in `DESIGN.md`):
+//! The pipeline (Section A of the paper's appendix; where the
+//! engineering departs from it, the step says so):
 //!
 //! 1. **Normalization** (Lemma 28, in `agq-logic`): the expression becomes
 //!    a combination of sum terms `c · Σ_x̄ Π[lit] · Πw(x̄)`.
@@ -46,6 +46,7 @@ mod batch;
 mod compile;
 mod engine;
 pub mod fault;
+mod journal;
 mod qe;
 mod shape;
 mod slots;
@@ -53,10 +54,8 @@ mod term;
 
 pub use batch::{coalesce_updates, FxBuildHasher, FxHashSet, FxHasher};
 pub use compile::{compile, compile_query, CompileOptions, CompileReport, CompiledQuery};
-pub use engine::{
-    DurabilityPolicy, FiniteEngine, GeneralEngine, PartsError, QueryEngine, RingEngine,
-    TupleUpdate, WalFailure, WalSink,
-};
+pub use engine::{FiniteEngine, GeneralEngine, PartsError, QueryEngine, RingEngine, TupleUpdate};
+pub use journal::{DurabilityPolicy, Journal, WalFailure, WalSink};
 pub use qe::eliminate_quantifiers;
 pub use shape::{enumerate_shapes, Shape};
 pub use slots::{AtomSlots, SlotKey, SlotRegistry};

@@ -9,7 +9,7 @@
 //! extended structure stays in the same sparsity class. Subformulas with
 //! two or more free variables are rejected (`UnsupportedQuantifier`);
 //! that fragment needs the full DKT machinery, which the paper cites
-//! rather than proves (see DESIGN.md §3).
+//! rather than proves.
 
 use crate::compile::{compile, CompileOptions};
 use crate::engine::FiniteEngine;

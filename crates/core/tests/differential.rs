@@ -509,8 +509,9 @@ fn parallel_compile_is_byte_identical_to_sequential() {
 
 #[test]
 fn query_batch_matches_sequential_queries() {
-    // query_batch ≡ query ≡ the classic update/restore path, across the
-    // general and ring engines.
+    // query_batch ≡ query ≡ the classic update/restore path ≡ the
+    // discovery overlay (an engine over a plan without memoized cones) ≡
+    // brute force.
     for seed in 0..3 {
         let a = random_graph(16, 30, 800 + seed);
         let sig = a.signature().clone();
@@ -521,14 +522,19 @@ fn query_batch_matches_sequential_queries() {
             .sum_over([Var(0)]);
         let w = nat_weights(&a, 801 + seed);
         let nf = normalize(&expr).unwrap();
-        let compiled = compile(&a, &nf, &CompileOptions::default()).unwrap();
-        let mut engine: GeneralEngine<Nat> = GeneralEngine::new(compiled, &w);
+        let compiled = Arc::new(compile(&a, &nf, &CompileOptions::default()).unwrap());
+        let coneless = Arc::new(agq_circuit::EvalPlan::new(compiled.circuit.clone()));
+        let mut discovery: GeneralEngine<Nat> =
+            GeneralEngine::from_parts(compiled.clone(), coneless, &w);
+        let memoized = Arc::new(compiled.eval_plan());
+        let mut engine: GeneralEngine<Nat> = GeneralEngine::from_parts(compiled, memoized, &w);
         let points: Vec<[u32; 1]> = (0..a.domain_size() as u32).map(|z| [z]).collect();
         let tuples: Vec<&[u32]> = points.iter().map(|p| p.as_slice()).collect();
         let batch = engine.query_batch(&tuples);
         for (z, got) in batch.iter().enumerate() {
             let single = engine.query(&[z as u32]);
             let classic = engine.query_via_updates(&[z as u32]);
+            assert_eq!(*got, discovery.query(&[z as u32]), "z={z}: vs discovery");
             let expect = agq_baseline::eval_at(&expr, &w, &[Var(1)], &[z as u32]);
             assert_eq!(*got, single, "z={z}: batch vs query");
             assert_eq!(*got, classic, "z={z}: batch vs update/restore");

@@ -132,6 +132,13 @@ impl std::fmt::Display for UpdateError {
 
 impl std::error::Error for UpdateError {}
 
+/// A fail-stop rejection from [`agq_core::Journal::commit`].
+impl From<std::io::Error> for UpdateError {
+    fn from(e: std::io::Error) -> Self {
+        UpdateError::Wal(e.to_string())
+    }
+}
+
 /// A preprocessed first-order query ready for constant-delay answer
 /// enumeration (and constant-time maintenance in dynamic mode).
 ///

@@ -18,8 +18,8 @@
 use crate::answers::{compile_indicator, AnswerIndex, AnswerIter, UpdateError};
 use agq_circuit::{FiniteMaint, PermMaint, RingMaint};
 use agq_core::{
-    AtomSlots, CompileError, CompileOptions, DurabilityPolicy, QueryEngine, TupleUpdate,
-    WalFailure, WalSink,
+    AtomSlots, CompileError, CompileOptions, DurabilityPolicy, Journal, QueryEngine, TupleUpdate,
+    WalSink,
 };
 use agq_logic::Formula;
 use agq_perm::SegTreePerm;
@@ -40,15 +40,13 @@ use std::sync::Arc;
 /// reconstruct the live state (`agq-persist`): a batch the WAL rejected
 /// under fail-stop was never applied, and a batch the WAL accepted is
 /// durable even if the process dies mid-apply. Under
-/// [`WalFailure::FailOpen`] the engine instead keeps serving through a
-/// WAL outage and raises [`wal_degraded`](Self::wal_degraded).
+/// [`agq_core::WalFailure::FailOpen`] the engine instead keeps serving
+/// through a WAL outage and raises [`wal_degraded`](Self::wal_degraded).
+/// State and commit rule live in the engine's [`Journal`].
 pub struct EnumQueryEngine<S: Semiring, P: PermMaint<S>> {
     engine: QueryEngine<S, P>,
     index: AnswerIndex,
-    wal: Option<Box<dyn WalSink>>,
-    last_lsn: u64,
-    policy: DurabilityPolicy,
-    wal_degraded: bool,
+    journal: Journal,
     /// Reused resolved-slot staging of the update path.
     staged: Vec<(AtomSlots, bool)>,
 }
@@ -120,10 +118,7 @@ impl<S: Semiring, P: PermMaint<S>> EnumQueryEngine<S, P> {
         EnumQueryEngine {
             engine,
             index,
-            wal: None,
-            last_lsn,
-            policy: DurabilityPolicy::default(),
-            wal_degraded: false,
+            journal: Journal::new(last_lsn),
             staged: Vec::new(),
         }
     }
@@ -131,71 +126,52 @@ impl<S: Semiring, P: PermMaint<S>> EnumQueryEngine<S, P> {
     /// Attach a write-ahead-log sink: every subsequently applied batch is
     /// appended to it under its LSN. Returns the previously attached sink.
     pub fn attach_wal(&mut self, sink: Box<dyn WalSink>) -> Option<Box<dyn WalSink>> {
-        self.wal.replace(sink)
+        self.journal.sink.replace(sink)
     }
 
     /// Detach the WAL sink (e.g. before replaying a recovered tail, so
     /// the replay is not re-logged).
     pub fn detach_wal(&mut self) -> Option<Box<dyn WalSink>> {
-        self.wal.take()
+        self.journal.sink.take()
     }
 
     /// The LSN of the last successfully applied update batch (0 before
     /// any update). A snapshot taken now is current through this LSN.
     pub fn last_lsn(&self) -> u64 {
-        self.last_lsn
+        self.journal.last_lsn
     }
 
     /// Reset the log sequence counter — used after WAL replay so
     /// subsequent batches continue from the highest committed LSN
     /// rather than from the snapshot's.
     pub fn set_last_lsn(&mut self, lsn: u64) {
-        self.last_lsn = lsn;
+        self.journal.last_lsn = lsn;
     }
 
     /// How hard the engine tries to make a batch durable before giving
     /// up, and what "giving up" means (fail-stop rejection vs. degraded
     /// fail-open serving).
     pub fn set_durability(&mut self, policy: DurabilityPolicy) {
-        self.policy = policy;
+        self.journal.policy = policy;
     }
 
     /// The active [`DurabilityPolicy`].
     pub fn durability(&self) -> DurabilityPolicy {
-        self.policy
+        self.journal.policy
     }
 
     /// Whether a WAL append has failed past its retry budget under
-    /// [`WalFailure::FailOpen`] — the engine kept serving, but batches
-    /// from that point on may be missing from the log (take a fresh
-    /// snapshot before trusting it again).
+    /// [`agq_core::WalFailure::FailOpen`] — the engine kept serving, but
+    /// batches from that point on may be missing from the log (take a
+    /// fresh snapshot before trusting it again).
     pub fn wal_degraded(&self) -> bool {
-        self.wal_degraded
+        self.journal.degraded
     }
 
     /// Acknowledge a WAL outage after repairing the sink (e.g.
     /// re-attaching a fresh one and snapshotting).
     pub fn reset_wal_degraded(&mut self) {
-        self.wal_degraded = false;
-    }
-
-    /// Journal one batch **write-ahead**: append it to the attached sink
-    /// (if any) under the *next* LSN, and commit that LSN only if the
-    /// append succeeded — or unconditionally under fail-open, flagging
-    /// [`wal_degraded`](Self::wal_degraded). On a fail-stop `Err` the
-    /// LSN does not advance and the caller must not apply the batch.
-    fn journal(&mut self, updates: &[&TupleUpdate]) -> Result<(), UpdateError> {
-        let lsn = self.last_lsn + 1;
-        if let Some(wal) = &mut self.wal {
-            if let Err(e) = self.policy.append(wal.as_mut(), lsn, updates) {
-                match self.policy.on_failure {
-                    WalFailure::FailStop => return Err(UpdateError::Wal(e.to_string())),
-                    WalFailure::FailOpen => self.wal_degraded = true,
-                }
-            }
-        }
-        self.last_lsn = lsn;
-        Ok(())
+        self.journal.degraded = false;
     }
 
     /// Answer-tuple arity.
@@ -256,7 +232,7 @@ impl<S: Semiring, P: PermMaint<S>> EnumQueryEngine<S, P> {
     /// therefore also leaves both sides untouched.
     pub fn apply_update(&mut self, u: &TupleUpdate) -> Result<(), UpdateError> {
         let slots = self.index.resolve_update(u.rel, &u.tuple, u.present)?;
-        self.journal(&[u])?;
+        self.journal.commit(|| [u])?;
         if let Some(slots) = slots {
             let staged = [(slots, u.present)];
             self.index.apply_resolved(&staged);
@@ -292,7 +268,7 @@ impl<S: Semiring, P: PermMaint<S>> EnumQueryEngine<S, P> {
         }
         // Write-ahead: the batch is durable (or cleanly rejected, LSN
         // unadvanced) before anything mutates in memory.
-        self.journal(&coalesced)?;
+        self.journal.commit(|| &coalesced)?;
         let applied = self.index.apply_resolved(&self.staged);
         self.engine.apply_resolved(&self.staged);
         Ok(applied)

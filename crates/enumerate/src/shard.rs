@@ -105,8 +105,8 @@ use crate::answers::{compile_indicator, AnswerIndex, UpdateError};
 use crate::machine::MachineStateDump;
 use agq_circuit::{FiniteMaint, PeekScratch, PermMaint, RingMaint};
 use agq_core::{
-    available_cores, AtomSlots, CompileError, CompileOptions, DurabilityPolicy, QueryEngine,
-    TupleUpdate, WalFailure, WalSink,
+    available_cores, AtomSlots, CompileError, CompileOptions, DurabilityPolicy, Journal,
+    QueryEngine, TupleUpdate, WalSink,
 };
 use agq_logic::Formula;
 use agq_perm::SegTreePerm;
@@ -261,37 +261,17 @@ pub struct ShardedEngine<S: Semiring, P: PermMaint<S>> {
     shards: Vec<ShardCell<S, P>>,
     component_local: bool,
     arity: usize,
-    /// Durability state: the optional WAL sink, the durability policy,
-    /// and the LSN of the last accepted batch, assigned under one mutex
-    /// *while the accepting batch's shard write locks are still held* so
-    /// LSN order agrees with apply order for conflicting batches.
-    wal: Mutex<WalState>,
+    /// Durability state (sink, policy, LSN of the last accepted batch),
+    /// committed under one mutex *while the accepting batch's shard write
+    /// locks are still held* so LSN order agrees with apply order for
+    /// conflicting batches.
+    wal: Mutex<Journal>,
     /// `true` = [`ServeMode::Strict`] for the `try_*` APIs.
     serve_strict: AtomicBool,
     /// The LSN this engine was seeded with (0 at build, the replayed LSN
     /// after recovery): [`ShardedEngine::self_check`]'s monotonicity
     /// floor — the live counter may never run behind it.
     lsn_floor: AtomicU64,
-}
-
-/// The durability side-state of a [`ShardedEngine`] (see its `wal` field).
-struct WalState {
-    sink: Option<Box<dyn WalSink>>,
-    last_lsn: u64,
-    policy: DurabilityPolicy,
-    /// Set when a fail-open policy accepted a batch it could not journal.
-    degraded: bool,
-}
-
-impl WalState {
-    fn fresh(last_lsn: u64) -> Self {
-        WalState {
-            sink: None,
-            last_lsn,
-            policy: DurabilityPolicy::default(),
-            degraded: false,
-        }
-    }
 }
 
 /// One shard's serializable mutable state, as captured by
@@ -315,6 +295,10 @@ pub type GeneralShardedEngine<S> = ShardedEngine<S, SegTreePerm<S>>;
 pub type RingShardedEngine<S> = ShardedEngine<S, RingMaint<S>>;
 /// Sharded engine for finite semirings (constant-time point queries).
 pub type FiniteShardedEngine<S> = ShardedEngine<S, FiniteMaint<S>>;
+
+/// The read guards of one consistent snapshot, with their shard ids
+/// (see `ShardedEngine::read_healthy`).
+type HealthyShards<'a, S, P> = Vec<(usize, RwLockReadGuard<'a, Shard<S, P>>)>;
 
 /// Where a tuple routes.
 enum Route {
@@ -382,7 +366,7 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
             shards,
             component_local,
             arity,
-            wal: Mutex::new(WalState::fresh(0)),
+            wal: Mutex::new(Journal::new(0)),
             serve_strict: AtomicBool::new(false),
             lsn_floor: AtomicU64::new(0),
         })
@@ -421,7 +405,7 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
                 .collect(),
             component_local,
             arity,
-            wal: Mutex::new(WalState::fresh(last_lsn)),
+            wal: Mutex::new(Journal::new(last_lsn)),
             serve_strict: AtomicBool::new(false),
             lsn_floor: AtomicU64::new(last_lsn),
         })
@@ -430,9 +414,9 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
     /// The WAL mutex, poison-recovered: the journal path never panics
     /// while holding it (injected panics fire before the lock is taken,
     /// and sink errors are returned, not thrown), so a poisoned state
-    /// still holds a coherent `WalState` — recover it rather than
+    /// still holds a coherent [`Journal`] — recover it rather than
     /// cascade a different thread's failure.
-    fn lock_wal(&self) -> MutexGuard<'_, WalState> {
+    fn lock_wal(&self) -> MutexGuard<'_, Journal> {
         self.wal.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -482,7 +466,7 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
         if !missing.is_empty() {
             return Err(ServeError::ShardUnavailable { shards: missing });
         }
-        let lsn = self.lock_wal().last_lsn;
+        let lsn = self.last_lsn();
         let dumps = guards
             .iter()
             .map(|(_, shard)| {
@@ -591,8 +575,7 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
     /// shards' quarantine never affects a point query — the cone above a
     /// single-shard tuple's slots stays inside its component.
     pub fn try_query(&self, tuple: &[Elem]) -> Result<Served<S>, ServeError> {
-        let (value, missing) = self.query_inner(tuple);
-        self.serve(value, missing)
+        self.serve(self.query_inner(tuple))
     }
 
     fn query_inner(&self, tuple: &[Elem]) -> (S, Vec<usize>) {
@@ -612,9 +595,11 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
         }
     }
 
-    /// Wrap a computed value according to the serve mode: complete,
-    /// degraded naming the skipped shards, or a strict-mode error.
-    fn serve<T>(&self, value: T, missing: Vec<usize>) -> Result<Served<T>, ServeError> {
+    /// Wrap what an `*_inner` read body computed under one snapshot — the
+    /// value over the healthy shards and the quarantined shards it
+    /// skipped — according to the serve mode: complete, degraded naming
+    /// the skipped shards, or a strict-mode error.
+    fn serve<T>(&self, (value, missing): (T, Vec<usize>)) -> Result<Served<T>, ServeError> {
         if missing.is_empty() {
             Ok(Served::Complete(value))
         } else if self.serve_strict.load(Ordering::Acquire) {
@@ -664,8 +649,7 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
     where
         P: Send + Sync,
     {
-        let (values, missing) = self.query_batch_inner(tuples);
-        self.serve(values, missing)
+        self.serve(self.query_batch_inner(tuples))
     }
 
     fn query_batch_inner(&self, tuples: &[&[Elem]]) -> (Vec<S>, Vec<usize>)
@@ -790,7 +774,7 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
             .write_shard(s)
             .map_err(|shard| UpdateError::ShardUnavailable { shard })?;
         let slots = shard.index.resolve_update(u.rel, &u.tuple, u.present)?;
-        self.journal(|| vec![u])?;
+        self.lock_wal().commit(|| [u])?;
         let staged = slots.map(|slots| (slots, u.present));
         let shard = &mut *shard;
         let applied = catch_unwind(AssertUnwindSafe(|| {
@@ -800,37 +784,6 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
             self.shards[s].quarantined.store(true, Ordering::Release);
             return Err(UpdateError::ShardPanicked { shards: vec![s] });
         }
-        Ok(())
-    }
-
-    /// Journal a batch write-ahead: assign the next LSN and append +
-    /// flush under the durability policy, with the accepting batch's
-    /// shard write locks still held (so LSN order agrees with apply
-    /// order). `batch` flattens the (borrowed, never cloned) updates and
-    /// is only called when a sink is attached, so the no-WAL ingestion
-    /// hot path pays one mutex lock and an increment. On success — or on
-    /// append exhaustion under a fail-open policy, which marks the WAL
-    /// degraded — the LSN is committed and the caller proceeds to apply.
-    /// Under fail-stop, exhaustion commits nothing and the caller must
-    /// not apply.
-    fn journal<'u>(&self, batch: impl FnOnce() -> Vec<&'u TupleUpdate>) -> Result<(), UpdateError> {
-        let mut wal = self.lock_wal();
-        let lsn = wal.last_lsn + 1;
-        let WalState {
-            sink,
-            policy,
-            degraded,
-            ..
-        } = &mut *wal;
-        if let Some(sink) = sink {
-            if let Err(e) = policy.append(sink.as_mut(), lsn, &batch()) {
-                match policy.on_failure {
-                    WalFailure::FailStop => return Err(UpdateError::Wal(e.to_string())),
-                    WalFailure::FailOpen => *degraded = true,
-                }
-            }
-        }
-        wal.last_lsn = lsn;
         Ok(())
     }
 
@@ -967,10 +920,14 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
             }
             staged.push(group);
         }
-        // Journal write-ahead while the write locks are held. On a
-        // fail-stop WAL error the locks drop with nothing applied and the
-        // LSN unadvanced.
-        self.journal(|| work.iter().flat_map(|(_, g)| g.iter().copied()).collect())?;
+        // Journal write-ahead while the write locks are held, so LSN
+        // order agrees with apply order. The closure flattens the
+        // (borrowed, never cloned) updates and only runs when a sink is
+        // attached: the no-WAL hot path pays one mutex lock and an
+        // increment. On a fail-stop WAL error the locks drop with nothing
+        // applied and the LSN unadvanced.
+        self.lock_wal()
+            .commit(|| -> Vec<_> { work.iter().flat_map(|(_, g)| g.iter().copied()).collect() })?;
         // Every group runs under `catch_unwind`: a panic (a bug, or the
         // `shard.apply` / `batch.worker` fail-points) quarantines the
         // affected shards instead of crossing the facade.
@@ -1049,8 +1006,7 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
     /// ids that were skipped. Holding all of the guards, a concurrent
     /// batch is observed fully applied or not at all — never torn across
     /// shards.
-    #[allow(clippy::type_complexity)]
-    fn read_healthy(&self) -> (Vec<(usize, RwLockReadGuard<'_, Shard<S, P>>)>, Vec<usize>) {
+    fn read_healthy(&self) -> (HealthyShards<'_, S, P>, Vec<usize>) {
         let mut guards = Vec::with_capacity(self.shards.len());
         let mut missing = Vec::new();
         for s in 0..self.shards.len() {
@@ -1067,36 +1023,35 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
     /// total. Quarantined shards contribute nothing; use
     /// [`ShardedEngine::try_count`] to be told when that happens.
     pub fn count(&self) -> u64 {
-        self.read_healthy()
-            .0
-            .iter()
-            .map(|(_, s)| s.index.count())
-            .sum()
+        self.count_inner().0
     }
 
     /// [`ShardedEngine::count`] with explicit completeness.
     pub fn try_count(&self) -> Result<Served<u64>, ServeError> {
+        self.serve(self.count_inner())
+    }
+
+    fn count_inner(&self) -> (u64, Vec<usize>) {
         let (guards, missing) = self.read_healthy();
-        let total = guards.iter().map(|(_, s)| s.index.count()).sum();
-        self.serve(total, missing)
+        (guards.iter().map(|(_, s)| s.index.count()).sum(), missing)
     }
 
     /// Whether at least one answer exists on a **healthy** shard
     /// (`O_φ(1)` per shard), under the same consistent snapshot as
     /// [`ShardedEngine::count`].
     pub fn is_nonempty(&self) -> bool {
-        self.read_healthy()
-            .0
-            .iter()
-            .any(|(_, s)| s.index.is_nonempty())
+        self.is_nonempty_inner().0
     }
 
     /// [`ShardedEngine::is_nonempty`] with explicit completeness (a
     /// degraded `false` only means the healthy shards are empty).
     pub fn try_is_nonempty(&self) -> Result<Served<bool>, ServeError> {
+        self.serve(self.is_nonempty_inner())
+    }
+
+    fn is_nonempty_inner(&self) -> (bool, Vec<usize>) {
         let (guards, missing) = self.read_healthy();
-        let any = guards.iter().any(|(_, s)| s.index.is_nonempty());
-        self.serve(any, missing)
+        (guards.iter().any(|(_, s)| s.index.is_nonempty()), missing)
     }
 
     /// Direct access: the answer of **global rank** `k` (shard id, then
@@ -1109,9 +1064,25 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
     /// transparently absent from the rank space (use
     /// [`ShardedEngine::try_answer`] to detect that).
     pub fn answer(&self, k: u64) -> Option<Vec<Elem>> {
-        let guards = self.read_healthy().0;
-        let mut k = k;
-        for (_, shard) in &guards {
+        self.answer_inner(k).0
+    }
+
+    /// [`ShardedEngine::answer`] with explicit completeness: a degraded
+    /// result means the rank space omits the listed quarantined shards.
+    #[allow(clippy::type_complexity)]
+    pub fn try_answer(&self, k: u64) -> Result<Served<Option<Vec<Elem>>>, ServeError> {
+        self.serve(self.answer_inner(k))
+    }
+
+    fn answer_inner(&self, k: u64) -> (Option<Vec<Elem>>, Vec<usize>) {
+        let (guards, missing) = self.read_healthy();
+        (Self::answer_at(&guards, k), missing)
+    }
+
+    /// The answer of global rank `k` within one snapshot: skip whole
+    /// shards through the prefix table of their counts, then descend.
+    fn answer_at(guards: &HealthyShards<'_, S, P>, mut k: u64) -> Option<Vec<Elem>> {
+        for (_, shard) in guards {
             let c = shard.index.count();
             if k < c {
                 return shard.index.answer(k);
@@ -1121,36 +1092,31 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
         None
     }
 
-    /// [`ShardedEngine::answer`] with explicit completeness: a degraded
-    /// result means the rank space omits the listed quarantined shards.
-    #[allow(clippy::type_complexity)]
-    pub fn try_answer(&self, k: u64) -> Result<Served<Option<Vec<Elem>>>, ServeError> {
-        let (guards, missing) = self.read_healthy();
-        let mut k = k;
-        let mut found = None;
-        for (_, shard) in &guards {
-            let c = shard.index.count();
-            if k < c {
-                found = shard.index.answer(k);
-                break;
-            }
-            k -= c;
-        }
-        self.serve(found, missing)
-    }
-
     /// Answers of global ranks `k … k+len-1` (clipped at the end): one
     /// rank descent into the owning shard, then a constant-delay cursor
     /// walk that chains across shard boundaries — pagination without
     /// enumerating ranks `< k`, under one consistent snapshot.
     pub fn answer_range(&self, k: u64, len: usize) -> Vec<Vec<Elem>> {
+        self.answer_range_inner(k, len).0
+    }
+
+    /// [`ShardedEngine::answer_range`] with explicit completeness.
+    #[allow(clippy::type_complexity)]
+    pub fn try_answer_range(
+        &self,
+        k: u64,
+        len: usize,
+    ) -> Result<Served<Vec<Vec<Elem>>>, ServeError> {
+        self.serve(self.answer_range_inner(k, len))
+    }
+
+    fn answer_range_inner(&self, mut k: u64, len: usize) -> (Vec<Vec<Elem>>, Vec<usize>) {
+        let (guards, missing) = self.read_healthy();
         let mut out = Vec::new();
         if len == 0 {
-            return out;
+            return (out, missing);
         }
-        let guards = self.read_healthy().0;
         // prefix table: skip whole shards below rank k
-        let mut k = k;
         let mut s = 0;
         while s < guards.len() {
             let c = guards[s].1.index.count();
@@ -1174,22 +1140,7 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
             k = 0; // subsequent shards continue from their rank 0
             s += 1;
         }
-        out
-    }
-
-    /// [`ShardedEngine::answer_range`] with explicit completeness.
-    #[allow(clippy::type_complexity)]
-    pub fn try_answer_range(
-        &self,
-        k: u64,
-        len: usize,
-    ) -> Result<Served<Vec<Vec<Elem>>>, ServeError> {
-        let missing = self.quarantined_shards();
-        if !missing.is_empty() && self.serve_strict.load(Ordering::Acquire) {
-            return Err(ServeError::ShardUnavailable { shards: missing });
-        }
-        let page = self.answer_range(k, len);
-        self.serve(page, missing)
+        (out, missing)
     }
 
     /// A uniformly random answer derived from `rng_seed` (deterministic
@@ -1201,15 +1152,8 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
         if total == 0 {
             return None;
         }
-        let mut k = ((crate::answers::splitmix64(rng_seed) as u128 * total as u128) >> 64) as u64;
-        for (_, shard) in &guards {
-            let c = shard.index.count();
-            if k < c {
-                return shard.index.answer(k);
-            }
-            k -= c;
-        }
-        None
+        let k = ((crate::answers::splitmix64(rng_seed) as u128 * total as u128) >> 64) as u64;
+        Self::answer_at(&guards, k)
     }
 
     /// Stream every answer to `f` in global rank order (shard id, then
@@ -1218,37 +1162,38 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
     /// are held for the duration — the stream is one consistent
     /// snapshot, and the order is exactly the one
     /// [`ShardedEngine::answer`] indexes.
-    pub fn for_each_answer(&self, mut f: impl FnMut(&[Elem])) {
-        let guards = self.read_healthy().0;
+    pub fn for_each_answer(&self, f: impl FnMut(&[Elem])) {
+        self.for_each_inner(f);
+    }
+
+    fn for_each_inner(&self, mut f: impl FnMut(&[Elem])) -> Vec<usize> {
+        let (guards, missing) = self.read_healthy();
         for (_, shard) in &guards {
             let mut it = shard.index.iter();
             while let Some(t) = it.next() {
                 f(&t);
             }
         }
+        missing
     }
 
     /// All answers in global rank order (see
     /// [`ShardedEngine::for_each_answer`]).
     pub fn collect_answers(&self) -> Vec<Vec<Elem>> {
-        let mut out = Vec::new();
-        self.for_each_answer(|t| out.push(t.to_vec()));
-        out
+        self.collect_inner().0
     }
 
     /// [`ShardedEngine::collect_answers`] with explicit completeness: a
     /// degraded stream covers only the healthy shards' rank intervals.
     #[allow(clippy::type_complexity)]
     pub fn try_collect_answers(&self) -> Result<Served<Vec<Vec<Elem>>>, ServeError> {
-        let (guards, missing) = self.read_healthy();
+        self.serve(self.collect_inner())
+    }
+
+    fn collect_inner(&self) -> (Vec<Vec<Elem>>, Vec<usize>) {
         let mut out = Vec::new();
-        for (_, shard) in &guards {
-            let mut it = shard.index.iter();
-            while let Some(t) = it.next() {
-                out.push(t.to_vec());
-            }
-        }
-        self.serve(out, missing)
+        let missing = self.for_each_inner(|t| out.push(t.to_vec()));
+        (out, missing)
     }
 
     /// All answers merged into one globally ordered stream: a thin

@@ -21,7 +21,8 @@
 //!    measured ≈ +3 % appends + one ~230 ms flush for 20 k updates
 //!    (≈ +50 % total at this scale), gated at +100 %. A reader after
 //!    *every* batch instead re-pays each batch's full update cone
-//!    (~2.4 ms/batch, +140–170 % — reported by bench5, not gated):
+//!    (~2.4 ms/batch, +140–170 % — the benchmark matrix reports it as
+//!    `ranked_update_ops_s` / `enumerate.rank_flush_us`; not gated here):
 //!    counts change through the whole cone so no repair schedule, eager
 //!    or lazy, can avoid that sweep; the lazy design merely moves it
 //!    off the write path.

@@ -6,8 +6,8 @@
 
 use agq_core::{CompileOptions, DurabilityPolicy, TupleUpdate, WalFailure, WalSink};
 use agq_enumerate::{
-    EnumQueryEngine, GeneralEnumEngine, GeneralShardedEngine, ServeError, ServeMode, ShardedEngine,
-    UpdateError,
+    EnumQueryEngine, GeneralEnumEngine, GeneralShardedEngine, ServeError, ServeMode, Served,
+    ShardedEngine, UpdateError,
 };
 use agq_logic::{Formula, Var};
 use agq_semiring::Nat;
@@ -142,6 +142,65 @@ fn strict_mode_turns_degradation_into_errors() {
     // Back to degrade: same calls succeed with explicit completeness.
     eng.set_serve_mode(ServeMode::Degrade);
     assert!(!eng.try_count().unwrap().is_complete());
+}
+
+/// `try_answer`, `try_answer_range` and `try_is_nonempty` in every
+/// serving state. The degraded value must be the healthy shard's own
+/// stream: value and `missing_shards` come from one snapshot.
+#[test]
+fn try_answer_range_and_nonempty_in_every_serve_state() {
+    fn degraded<T>(s: usize, value: T) -> Result<Served<T>, ServeError> {
+        Ok(Served::Degraded {
+            value,
+            missing_shards: vec![s],
+        })
+    }
+    let (a, e) = three_component_graph();
+    let phi = Formula::Rel(e, vec![Var(0), Var(1)]);
+    let eng: GeneralShardedEngine<Nat> =
+        ShardedEngine::build(&a, &phi, &CompileOptions::default(), 2).unwrap();
+    assert_eq!(eng.num_shards(), 2);
+    let all = eng.collect_answers();
+
+    // All healthy: Complete, equal to the value API.
+    for k in 0..=all.len() as u64 {
+        assert_eq!(eng.try_answer(k), Ok(Served::Complete(eng.answer(k))));
+        let page = eng.answer_range(k, 4);
+        assert_eq!(eng.try_answer_range(k, 4), Ok(Served::Complete(page)));
+    }
+    assert_eq!(eng.try_answer(0).unwrap().value(), Some(all[0].clone()));
+    assert_eq!(eng.try_is_nonempty(), Ok(Served::Complete(true)));
+
+    // One of two quarantined: the rank space is the healthy shard's own
+    // (global order is shard id, then the shard's cursor order).
+    let s = eng.owning_shard(&[0, 1]).unwrap();
+    let own: Vec<Vec<u32>> = all
+        .iter()
+        .filter(|t| eng.owning_shard(t) != Some(s))
+        .cloned()
+        .collect();
+    assert!(!own.is_empty() && own.len() < all.len());
+    eng.quarantine_shard(s);
+    for k in 0..=own.len() {
+        assert_eq!(eng.try_answer(k as u64), degraded(s, own.get(k).cloned()));
+        let page = own[k..(k + 3).min(own.len())].to_vec();
+        assert_eq!(eng.try_answer_range(k as u64, 3), degraded(s, page));
+    }
+    assert_eq!(eng.try_is_nonempty(), degraded(s, true));
+
+    // Strict: the same calls refuse, naming the shard.
+    eng.set_serve_mode(ServeMode::Strict);
+    let refused = ServeError::ShardUnavailable { shards: vec![s] };
+    assert_eq!(eng.try_answer(0), Err(refused.clone()));
+    assert_eq!(eng.try_answer_range(0, 3), Err(refused.clone()));
+    assert_eq!(eng.try_is_nonempty(), Err(refused));
+
+    // A degraded `false` only says the healthy shards are empty.
+    eng.set_serve_mode(ServeMode::Degrade);
+    let removals: Vec<_> = own.iter().map(|t| TupleUpdate::remove(e, t)).collect();
+    eng.apply_batch(&removals).unwrap();
+    assert_eq!(eng.try_is_nonempty(), degraded(s, false));
+    assert_eq!(eng.try_answer(0), degraded(s, None));
 }
 
 #[test]

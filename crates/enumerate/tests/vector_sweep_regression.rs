@@ -10,9 +10,10 @@
 //!    `sum_slice` tier instead of the scalar gather.
 //! 2. **Sweep throughput**: a full add-gate sweep through the dense-run
 //!    tier beats the canonical 4-lane scalar gather by ≥1.3× on the
-//!    same circuit and the same `Nat` value vector (the BENCH_6
-//!    measurement is ~2-4×; the floor leaves room for CI noise), and
-//!    both sweeps produce identical sums.
+//!    same circuit and the same `Nat` value vector (the benchmark
+//!    matrix tracks the kernels as `semiring.sum_slice_ns_per_elem.*`
+//!    and the coverage as `circuit.dense_run_coverage`; the floor
+//!    leaves room for CI noise), and both sweeps produce identical sums.
 //!
 //! Wall-clock budgets are only meaningful with optimizations on, so the
 //! assertions are compiled under `not(debug_assertions)`: run via

@@ -474,6 +474,16 @@ where
 }
 
 /// Open (or create) the WAL at `path` for appending — truncating any
+/// torn tail. Returns the sink and the LSN the log was committed through.
+fn open_wal(path: &Path) -> Result<(FileWal, u64), PersistError> {
+    if path.exists() {
+        FileWal::open_append(path)
+    } else {
+        Ok((FileWal::create(path)?, 0))
+    }
+}
+
+/// Open (or create) the WAL at `path` for appending — truncating any
 /// torn tail — and attach it to `engine`. Returns the LSN the log was
 /// committed through.
 pub fn attach_file_wal<S, P>(
@@ -484,12 +494,7 @@ where
     S: Semiring,
     P: PermMaint<S>,
 {
-    let path = path.as_ref();
-    let (sink, last) = if path.exists() {
-        FileWal::open_append(path)?
-    } else {
-        (FileWal::create(path)?, 0)
-    };
+    let (sink, last) = open_wal(path.as_ref())?;
     engine.attach_wal(Box::new(sink));
     Ok(last)
 }
@@ -503,12 +508,7 @@ where
     S: Semiring,
     P: PermMaint<S>,
 {
-    let path = path.as_ref();
-    let (sink, last) = if path.exists() {
-        FileWal::open_append(path)?
-    } else {
-        (FileWal::create(path)?, 0)
-    };
+    let (sink, last) = open_wal(path.as_ref())?;
     engine.attach_wal(Box::new(sink));
     Ok(last)
 }

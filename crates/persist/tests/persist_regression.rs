@@ -11,9 +11,11 @@
 //!    while a build re-runs tree-decomposition, circuit construction,
 //!    and slot binding. The baseline is the one-call `build_dynamic`,
 //!    which since the halves share one circuit compiles **once** — it
-//!    is ≈ 1.5× cheaper than the twice-compiling build BENCH_7 measured
-//!    its 11.3× against, so the ratios are lower than they were while
-//!    every side is faster: measured on the 2-vCPU VM, `load_plan`
+//!    is ≈ 1.5× cheaper than the twice-compiling build the legacy E18
+//!    record (frozen in README.md) measured its 11.3× against, so the
+//!    ratios are lower than they were while every side is faster; the
+//!    benchmark matrix tracks both sides as `persist.load_plan_ms` and
+//!    `core.compile_ms` on `cold_start`. Measured on the 2-vCPU VM, `load_plan`
 //!    ≈ 1.1 s and `load_engine` (plan + 67 MB snapshot decode + state
 //!    restore) ≈ 1.5–1.7 s against a ≈ 8 s build, i.e. ≈ 7.5× and
 //!    ≈ 5×. The 5× gate sits on the plan load — the step that stands in

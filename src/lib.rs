@@ -12,7 +12,9 @@
 //! * nested multi-semiring queries `FOG[C]` (Theorem 26).
 //!
 //! This crate is a facade re-exporting the workspace members; see
-//! `README.md` for a tour and `DESIGN.md` for the architecture.
+//! `README.md` for a tour. The architecture is documented where it
+//! lives — each member's module docs — and the durability and
+//! fault-model invariants in `ROADMAP.md`.
 //!
 //! ## Quickstart
 //!
