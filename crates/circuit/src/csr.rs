@@ -1,13 +1,15 @@
-//! Shared compressed-sparse-row (CSR) adjacency buffers.
+//! Compressed-sparse-row (CSR) buffers: the storage of every table an
+//! [`crate::EvalPlan`] derives from the circuit topology — parent
+//! references per gate, input gates per slot, memoized cones per slot,
+//! dense runs per add gate.
 //!
-//! Both evaluators over a circuit — the semiring [`crate::DynEvaluator`]
-//! and the free-semiring enumeration machine of `agq-enumerate` — need
-//! the same derived adjacency: parent references per gate and input
-//! gates per slot. Storing those as `Vec<Vec<_>>` costs one allocation
-//! per gate and a pointer chase per traversal; a CSR layout is two flat
-//! buffers (an offset table and a payload), built in two counting
-//! passes, mirroring how the circuit itself stores child lists in one
-//! shared arena.
+//! `Vec<Vec<_>>` would cost one allocation per gate and a pointer chase
+//! per traversal; a CSR layout is two flat buffers (an offset table and a
+//! payload), built in two counting passes, mirroring how the circuit
+//! itself stores child lists in one shared arena. The types are private
+//! to this crate: `EvalPlan` is the only builder of circuit adjacency,
+//! and every other consumer (the free-semiring machine of
+//! `agq-enumerate` included) reads rows through its accessors.
 //!
 //! [`CsrBuilder`] packages the two-pass construction: call
 //! [`CsrBuilder::count`] once per item, [`CsrBuilder::finish_counts`] to
@@ -26,16 +28,6 @@ impl<T> Csr<T> {
     /// The items filed under `key`.
     pub fn row(&self, key: usize) -> &[T] {
         &self.items[self.offsets[key] as usize..self.offsets[key + 1] as usize]
-    }
-
-    /// Number of keys.
-    pub fn num_keys(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Total number of items across all keys.
-    pub fn num_items(&self) -> usize {
-        self.items.len()
     }
 }
 
@@ -109,6 +101,16 @@ impl<T> CsrCursor<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T> Csr<T> {
+        fn num_keys(&self) -> usize {
+            self.offsets.len() - 1
+        }
+
+        fn num_items(&self) -> usize {
+            self.items.len()
+        }
+    }
 
     #[test]
     fn two_pass_roundtrip() {

@@ -6,14 +6,15 @@
 //! with **one** dirty-propagation sweep. "Dirty" across a batch means: a
 //! gate is queued the moment any child's committed value changes, and is
 //! recomputed exactly once, after every child it can see has settled.
-//! The single sweep is sound because the queue is a min-heap over gate
-//! ids and children always precede parents in the gate arena — popping
-//! in ascending id order is a topological schedule no matter how many
-//! slots seeded the queue, so interleaving the cones of all batched
-//! updates cannot reorder a parent before a child. Gates shared by
-//! several update cones (the wide aggregation gates near the root) are
-//! therefore recomputed once per batch instead of once per update, which
-//! is where the batch throughput win comes from.
+//! The single sweep is sound because the queue is a [`DirtyQueue`] —
+//! ascending gate ids, each at most once — and children always precede
+//! parents in the gate arena: popping in ascending id order is a
+//! topological schedule no matter how many slots seeded the queue, so
+//! interleaving the cones of all batched updates cannot reorder a parent
+//! before a child. Gates shared by several update cones (the wide
+//! aggregation gates near the root) are therefore recomputed once per
+//! batch instead of once per update, which is where the batch
+//! throughput win comes from.
 //!
 //! Permanent-entry changes are coalesced the same way: child-value
 //! changes destined for a permanent gate are buffered per sweep and
@@ -28,11 +29,11 @@
 //! touched.
 
 use crate::csr::{Csr, CsrBuilder};
+use crate::dirty::DirtyQueue;
 use crate::eval::{sum_add, sum_children, MIN_RUN};
 use crate::{Circuit, GateDef, GateId};
 use agq_perm::{ColMatrix, FinitePerm, RingPerm, SegTreePerm};
 use agq_semiring::{FiniteSemiring, Ring, Semiring};
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// A maintenance structure for one permanent gate: how updates to matrix
@@ -148,12 +149,43 @@ impl<S: FiniteSemiring> PermMaint<S> for FiniteMaint<S> {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-enum ParentRef {
-    Add(u32),
+/// One entry of a gate's parent list ([`EvalPlan::parents`]): which gate
+/// reads it, and where. A gate read twice by one parent has two entries.
+/// 12 bytes (the `Perm` variant sets the size).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ParentRef {
+    /// Child number `child_pos` of addition gate `gate`.
+    Add {
+        /// The addition gate.
+        gate: u32,
+        /// Position in its child list.
+        child_pos: u32,
+    },
+    /// An operand of multiplication gate `.0`.
     Mul(u32),
-    Perm { gate: u32, row: u8, col: u32 },
+    /// Entry `(row, col)` of permanent gate `gate`'s matrix.
+    Perm {
+        /// The permanent gate.
+        gate: u32,
+        /// Matrix row.
+        row: u8,
+        /// Matrix column.
+        col: u32,
+    },
 }
+
+impl ParentRef {
+    /// The parent gate's id.
+    #[inline]
+    pub fn gate(self) -> u32 {
+        let (ParentRef::Add { gate, .. } | ParentRef::Mul(gate) | ParentRef::Perm { gate, .. }) =
+            self;
+        gate
+    }
+}
+
+// Adjacency costs one `ParentRef` per circuit edge.
+const _: () = assert!(std::mem::size_of::<ParentRef>() == 12);
 
 /// Sentinel for "gate is not a permanent" in the dense perm index.
 const NO_PERM: u32 = u32::MAX;
@@ -180,11 +212,17 @@ fn for_each_add_run(circuit: &Circuit, mut f: impl FnMut(usize, u32, u32)) {
 
 /// The immutable half of dynamic evaluation: everything derived from the
 /// circuit topology alone — parent references, per-slot input-gate lists,
-/// the dense perm-gate numbering, and (optionally) memoized per-slot peek
-/// cones. An `EvalPlan` carries **no values** and is `Send + Sync`, so
-/// one `Arc<EvalPlan>` can back any number of [`DynEvaluator`] states —
-/// the shard states of a sharded engine, the workers of a batch — without
-/// re-deriving the adjacency.
+/// the dense perm-gate numbering, dense-run tables, and (optionally)
+/// memoized per-slot peek cones. An `EvalPlan` carries **no values** and
+/// is `Send + Sync`, so one `Arc<EvalPlan>` can back any number of
+/// [`DynEvaluator`] states — the shard states of a sharded engine, the
+/// workers of a batch — without re-deriving the adjacency.
+///
+/// It is the **only** holder of circuit adjacency: the topology is
+/// semiring-independent, so the free-semiring machine of `agq-enumerate`
+/// walks these same tables ([`parents`](Self::parents),
+/// [`slot_gates`](Self::slot_gates), [`perm_index`](Self::perm_index),
+/// [`add_runs`](Self::add_runs)) instead of deriving its own.
 pub struct EvalPlan {
     circuit: Arc<Circuit>,
     /// Parents of each gate.
@@ -242,7 +280,7 @@ impl EvalPlan {
     /// `v_i` free-variable indicators of Theorem 8) it has constant size,
     /// and memoizing it lets [`DynEvaluator::peek_memo`] evaluate a point
     /// query by a linear sweep of the precomputed cone instead of
-    /// discovering it per query through a heap and a hash map.
+    /// discovering it per query through a dirty queue and a hash map.
     pub fn with_cones(circuit: Arc<Circuit>, cone_slots: &[u32]) -> Self {
         let gates = circuit.gates();
         let n = gates.len();
@@ -274,7 +312,7 @@ impl EvalPlan {
         }
 
         // Pass 2: fill the flat adjacency buffers.
-        let mut parents = parents.finish_counts(ParentRef::Add(0));
+        let mut parents = parents.finish_counts(ParentRef::Mul(0));
         let mut slot_gates = slot_gates.finish_counts(0u32);
         let mut perm_index = vec![NO_PERM; n];
         let mut next_perm = 0u32;
@@ -283,8 +321,14 @@ impl EvalPlan {
                 GateDef::Input(slot) => slot_gates.place(*slot as usize, i as u32),
                 GateDef::Const(_) => {}
                 GateDef::Add(r) => {
-                    for c in circuit.children(*r) {
-                        parents.place(c.0 as usize, ParentRef::Add(i as u32));
+                    for (p, c) in circuit.children(*r).iter().enumerate() {
+                        parents.place(
+                            c.0 as usize,
+                            ParentRef::Add {
+                                gate: i as u32,
+                                child_pos: p as u32,
+                            },
+                        );
                     }
                 }
                 GateDef::Mul(a, b) => {
@@ -331,10 +375,7 @@ impl EvalPlan {
             }
             while let Some(g) = stack.pop() {
                 for &p in parents.row(g as usize) {
-                    let pg = match p {
-                        ParentRef::Add(pg) | ParentRef::Mul(pg) => pg,
-                        ParentRef::Perm { gate, .. } => gate,
-                    };
+                    let pg = p.gate();
                     if stamp[pg as usize] != si as u32 {
                         stamp[pg as usize] = si as u32;
                         stack.push(pg);
@@ -387,8 +428,31 @@ impl EvalPlan {
     }
 
     /// Whether `slot`'s peek cone was memoized.
-    pub fn has_cone(&self, slot: u32) -> bool {
+    fn has_cone(&self, slot: u32) -> bool {
         !self.cones.row(slot as usize).is_empty()
+    }
+
+    /// Every reader of gate `g`, in (parent gate, position in the
+    /// parent's child list) order.
+    #[inline]
+    pub fn parents(&self, g: u32) -> &[ParentRef] {
+        self.parents.row(g as usize)
+    }
+
+    /// The input gates reading `slot`, ascending.
+    #[inline]
+    pub fn slot_gates(&self, slot: u32) -> &[u32] {
+        self.slot_gates.row(slot as usize)
+    }
+
+    /// The number of `g` among the circuit's permanent gates, counted in
+    /// gate order (`None` for every other gate).
+    #[inline]
+    pub fn perm_index(&self, g: u32) -> Option<u32> {
+        match self.perm_index[g as usize] {
+            NO_PERM => None,
+            pi => Some(pi),
+        }
     }
 
     /// The maximal contiguous child-id runs `(first child id, length)` of
@@ -441,9 +505,8 @@ pub struct DynEvaluator<S: Semiring, P: PermMaint<S>> {
     /// Perm-gate maintenance structures, dense, in gate order.
     perms: Vec<P>,
     slot_values: Vec<S>,
-    /// Reused dirty queue of the update sweep (min-heap over gate ids =
-    /// topological schedule).
-    dirty: BinaryHeap<std::cmp::Reverse<u32>>,
+    /// Reused dirty queue of the update sweeps.
+    dirty: DirtyQueue,
     /// Perm-entry patches buffered during the current sweep:
     /// `(perm index, row, col, value)`, flushed through
     /// [`PermMaint::update_batch`] when the owning perm gate pops.
@@ -473,7 +536,7 @@ impl<S: Semiring, P: PermMaint<S>> DynEvaluator<S, P> {
             values,
             perms,
             slot_values: slots.to_vec(),
-            dirty: BinaryHeap::new(),
+            dirty: DirtyQueue::new(),
             perm_pending: Vec::new(),
             perm_flush: Vec::new(),
         }
@@ -532,7 +595,7 @@ impl<S: Semiring, P: PermMaint<S>> DynEvaluator<S, P> {
             values,
             perms,
             slot_values,
-            dirty: BinaryHeap::new(),
+            dirty: DirtyQueue::new(),
             perm_pending: Vec::new(),
             perm_flush: Vec::new(),
         })
@@ -577,10 +640,8 @@ impl<S: Semiring, P: PermMaint<S>> DynEvaluator<S, P> {
     /// backend-specific queries — e.g. the row-subset permanents of
     /// [`SegTreePerm::peek_rows`] — beyond the [`PermMaint`] interface.
     pub fn perm_maint(&self, g: GateId) -> Option<&P> {
-        match self.plan.perm_index[g.0 as usize] {
-            NO_PERM => None,
-            pi => Some(&self.perms[pi as usize]),
-        }
+        let pi = self.plan.perm_index(g.0)?;
+        Some(&self.perms[pi as usize])
     }
 
     /// Set input `slot` to `value` and repair all affected gates. This is
@@ -598,24 +659,30 @@ impl<S: Semiring, P: PermMaint<S>> DynEvaluator<S, P> {
     /// to the slot's committed value seed nothing and are dropped for
     /// free.
     pub fn set_inputs(&mut self, updates: &[(u32, S)]) {
-        // Commit all slot values first so later entries win and seeding
-        // reads each slot's final value.
+        self.seed_slots(updates, |ev, g, _old| ev.mark_parents(g));
+        self.drain_dirty();
+    }
+
+    /// Commit `updates` to the slot values, then to every input gate
+    /// reading them, calling `changed(self, gate, old value)` for each
+    /// input gate whose value moved — the seeding step of both update
+    /// sweeps. All slot values are committed first so later entries win
+    /// and seeding reads each slot's final value; a slot listed twice is
+    /// seeded idempotently (the second pass finds its gates settled).
+    fn seed_slots(&mut self, updates: &[(u32, S)], mut changed: impl FnMut(&mut Self, u32, S)) {
         for (slot, v) in updates {
             self.slot_values[*slot as usize] = v.clone();
         }
-        for (s, _) in updates {
-            let slot = *s as usize;
-            // A slot listed twice is seeded idempotently: the second pass
-            // finds the gate values already equal to the committed value.
-            for i in 0..self.plan.slot_gates.row(slot).len() {
-                let g = self.plan.slot_gates.row(slot)[i];
-                if self.values[g as usize] != self.slot_values[slot] {
-                    self.values[g as usize] = self.slot_values[slot].clone();
-                    self.mark_parents(g);
+        for &(slot, _) in updates {
+            for i in 0..self.plan.slot_gates(slot).len() {
+                let g = self.plan.slot_gates(slot)[i];
+                let new = &self.slot_values[slot as usize];
+                if self.values[g as usize] != *new {
+                    let old = std::mem::replace(&mut self.values[g as usize], new.clone());
+                    changed(self, g, old);
                 }
             }
         }
-        self.drain_dirty();
     }
 
     /// One topological sweep over the dirty queue: ascending gate ids,
@@ -623,31 +690,9 @@ impl<S: Semiring, P: PermMaint<S>> DynEvaluator<S, P> {
     /// flushed when their perm gate pops (every changed child has a
     /// smaller id, so all its patches are already buffered).
     fn drain_dirty(&mut self) {
-        while let Some(std::cmp::Reverse(g)) = self.dirty.pop() {
-            // Deduplicate: the same gate may be queued multiple times.
-            if self.dirty.peek() == Some(&std::cmp::Reverse(g)) {
-                continue;
-            }
+        while let Some(g) = self.dirty.pop() {
             let new = match &self.plan.circuit.gates()[g as usize] {
-                GateDef::Perm { .. } => {
-                    let pi = self.plan.perm_index[g as usize];
-                    let mut buf = std::mem::take(&mut self.perm_flush);
-                    buf.clear();
-                    let mut i = 0;
-                    while i < self.perm_pending.len() {
-                        if self.perm_pending[i].0 == pi {
-                            let (_, r, c, v) = self.perm_pending.swap_remove(i);
-                            buf.push((r as usize, c as usize, v));
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    if !buf.is_empty() {
-                        self.perms[pi as usize].update_batch(&buf);
-                    }
-                    self.perm_flush = buf;
-                    self.perms[pi as usize].total().clone()
-                }
+                GateDef::Perm { .. } => self.flush_perm(g),
                 _ => self.recompute(g),
             };
             if self.values[g as usize] != new {
@@ -659,6 +704,29 @@ impl<S: Semiring, P: PermMaint<S>> DynEvaluator<S, P> {
             self.perm_pending.is_empty(),
             "perm patches left unflushed after the sweep"
         );
+    }
+
+    /// Move perm gate `g`'s buffered entry patches out of `perm_pending`
+    /// into its maintenance structure (one
+    /// [`PermMaint::update_batch`]) and return the repaired permanent.
+    fn flush_perm(&mut self, g: u32) -> S {
+        let pi = self.plan.perm_index[g as usize];
+        let mut buf = std::mem::take(&mut self.perm_flush);
+        buf.clear();
+        let mut i = 0;
+        while i < self.perm_pending.len() {
+            if self.perm_pending[i].0 == pi {
+                let (_, r, c, v) = self.perm_pending.swap_remove(i);
+                buf.push((r as usize, c as usize, v));
+            } else {
+                i += 1;
+            }
+        }
+        if !buf.is_empty() {
+            self.perms[pi as usize].update_batch(&buf);
+        }
+        self.perm_flush = buf;
+        self.perms[pi as usize].total().clone()
     }
 
     /// Evaluate the output with some slots *temporarily* overwritten via
@@ -690,21 +758,13 @@ impl<S: Semiring, P: PermMaint<S>> DynEvaluator<S, P> {
         scratch.begin();
         // Later patches to one slot win; resolve that *before* propagating
         // so a patch back to the base value cancels an earlier one.
-        let mut resolved = std::mem::take(&mut scratch.resolved);
-        resolved.clear();
-        for (i, (slot, _)) in patches.iter().enumerate() {
-            match resolved.iter_mut().find(|&&mut (s, _)| s == *slot) {
-                Some((_, pi)) => *pi = i,
-                None => resolved.push((*slot, i)),
-            }
-        }
+        let resolved = scratch.resolve(patches);
         for &(slot, pi) in &resolved {
             let v = &patches[pi].1;
-            let slot = slot as usize;
-            if self.slot_values[slot] == *v {
+            if self.slot_values[slot as usize] == *v {
                 continue;
             }
-            for &g in self.plan.slot_gates.row(slot) {
+            for &g in self.plan.slot_gates(slot) {
                 if self.values[g as usize] != *v {
                     scratch.set(g, v.clone());
                     self.mark_parents_overlay(g, scratch);
@@ -712,30 +772,9 @@ impl<S: Semiring, P: PermMaint<S>> DynEvaluator<S, P> {
             }
         }
         scratch.resolved = resolved;
-        while let Some(std::cmp::Reverse(g)) = scratch.dirty.pop() {
-            if scratch.dirty.peek() == Some(&std::cmp::Reverse(g)) {
-                continue;
-            }
+        while let Some(g) = scratch.dirty.pop() {
             let new = match &self.plan.circuit.gates()[g as usize] {
-                GateDef::Perm { .. } => {
-                    // Assemble this permanent's patch list from the flat
-                    // per-query buffer (no duplicates possible: every
-                    // (row, col) has exactly one child gate, finalized
-                    // once).
-                    let pi = self.plan.perm_index[g as usize];
-                    let mut buf = std::mem::take(&mut scratch.perm_buf);
-                    buf.clear();
-                    buf.extend(
-                        scratch
-                            .perm_patches
-                            .iter()
-                            .filter(|&(p, _r, _c, _v)| *p == pi)
-                            .map(|(_p, r, c, v)| (*r as usize, *c as usize, v.clone())),
-                    );
-                    let out = self.perms[pi as usize].peek(&buf);
-                    scratch.perm_buf = buf;
-                    out
-                }
+                GateDef::Perm { .. } => self.peek_perm(g, scratch),
                 _ => self.recompute_overlay(g, scratch),
             };
             if new != self.values[g as usize] {
@@ -750,25 +789,37 @@ impl<S: Semiring, P: PermMaint<S>> DynEvaluator<S, P> {
             .unwrap_or_else(|| self.values[out as usize].clone())
     }
 
+    /// Perm gate `g` with the entry patches `scratch.perm_patches` holds
+    /// for it, answered without mutation by [`PermMaint::peek`]. No
+    /// duplicates are possible: every (row, col) has exactly one child
+    /// gate, finalized once per peek.
+    fn peek_perm(&self, g: u32, scratch: &mut PeekScratch<S>) -> S {
+        let pi = self.plan.perm_index[g as usize];
+        let mut buf = std::mem::take(&mut scratch.perm_buf);
+        buf.clear();
+        buf.extend(
+            scratch
+                .perm_patches
+                .iter()
+                .filter(|&(p, _r, _c, _v)| *p == pi)
+                .map(|(_p, r, c, v)| (*r as usize, *c as usize, v.clone())),
+        );
+        let out = self.perms[pi as usize].peek(&buf);
+        scratch.perm_buf = buf;
+        out
+    }
+
     /// [`DynEvaluator::peek`] over the **memoized cones** of the patched
     /// slots: the union cone is the merge of the per-slot gate lists
     /// precomputed in the plan ([`EvalPlan::with_cones`]), evaluated by
-    /// one ascending sweep — no heap, no hash map, no per-query cone
+    /// one ascending sweep — no queue, no hash map, no per-query cone
     /// discovery. Falls back to [`DynEvaluator::peek`] when some patched
     /// slot has no memoized cone.
     pub fn peek_memo(&self, patches: &[(u32, S)], scratch: &mut PeekScratch<S>) -> S {
         if patches.iter().any(|&(s, _)| !self.plan.has_cone(s)) {
             return self.peek(patches, scratch);
         }
-        // Resolve duplicate slots: later patches win.
-        let mut resolved = std::mem::take(&mut scratch.resolved);
-        resolved.clear();
-        for (i, (slot, _)) in patches.iter().enumerate() {
-            match resolved.iter_mut().find(|&&mut (s, _)| s == *slot) {
-                Some((_, pi)) => *pi = i,
-                None => resolved.push((*slot, i)),
-            }
-        }
+        let resolved = scratch.resolve(patches);
         // Merge the cones of the effectively-changed slots.
         let mut cone = std::mem::take(&mut scratch.cone);
         cone.clear();
@@ -843,26 +894,12 @@ impl<S: Semiring, P: PermMaint<S>> DynEvaluator<S, P> {
                     };
                     eff(*a).mul(eff(*b))
                 }
-                GateDef::Perm { .. } => {
-                    let pi = self.plan.perm_index[g as usize];
-                    let mut buf = std::mem::take(&mut scratch.perm_buf);
-                    buf.clear();
-                    buf.extend(
-                        scratch
-                            .perm_patches
-                            .iter()
-                            .filter(|&(p, _r, _c, _v)| *p == pi)
-                            .map(|(_p, r, c, v)| (*r as usize, *c as usize, v.clone())),
-                    );
-                    let out = self.perms[pi as usize].peek(&buf);
-                    scratch.perm_buf = buf;
-                    out
-                }
+                GateDef::Perm { .. } => self.peek_perm(g, scratch),
             };
             // Feed changed values to perm parents (processed later in the
             // sweep); Add/Mul parents re-read children directly.
             if v != self.values[g as usize] {
-                for &p in self.plan.parents.row(g as usize) {
+                for &p in self.plan.parents(g) {
                     if let ParentRef::Perm { gate, row, col } = p {
                         let pi = self.plan.perm_index[gate as usize];
                         scratch.perm_patches.push((pi, row as u32, col, v.clone()));
@@ -883,50 +920,33 @@ impl<S: Semiring, P: PermMaint<S>> DynEvaluator<S, P> {
         out
     }
 
-    /// [`DynEvaluator::peek`] with a one-off scratch (convenience for
-    /// single queries; batch callers should reuse a [`PeekScratch`]).
-    pub fn peek_alloc(&self, patches: &[(u32, S)]) -> S {
-        let mut scratch = PeekScratch::new();
-        self.peek(patches, &mut scratch)
-    }
-
     fn mark_parents(&mut self, g: u32) {
         // Perm parents get the new child value buffered as a pending
         // patch; it is flushed in one `update_batch` when the perm gate
         // pops. A child changes value at most once per sweep, so each
         // (perm, row, col) carries at most one patch.
-        for i in 0..self.plan.parents.row(g as usize).len() {
-            let p = self.plan.parents.row(g as usize)[i];
-            match p {
-                ParentRef::Add(pg) | ParentRef::Mul(pg) => {
-                    self.dirty.push(std::cmp::Reverse(pg));
-                }
-                ParentRef::Perm { gate, row, col } => {
-                    let v = self.values[g as usize].clone();
-                    let pi = self.plan.perm_index[gate as usize];
-                    self.perm_pending.push((pi, row as u32, col, v));
-                    self.dirty.push(std::cmp::Reverse(gate));
-                }
+        for i in 0..self.plan.parents(g).len() {
+            let p = self.plan.parents(g)[i];
+            if let ParentRef::Perm { gate, row, col } = p {
+                let v = self.values[g as usize].clone();
+                let pi = self.plan.perm_index[gate as usize];
+                self.perm_pending.push((pi, row as u32, col, v));
             }
+            self.dirty.push(p.gate());
         }
     }
 
     fn mark_parents_overlay(&self, g: u32, scratch: &mut PeekScratch<S>) {
-        for &p in self.plan.parents.row(g as usize) {
-            match p {
-                ParentRef::Add(pg) | ParentRef::Mul(pg) => {
-                    scratch.dirty.push(std::cmp::Reverse(pg));
-                }
-                ParentRef::Perm { gate, row, col } => {
-                    let v = scratch
-                        .get(g)
-                        .expect("overlaid child value present")
-                        .clone();
-                    let pi = self.plan.perm_index[gate as usize];
-                    scratch.perm_patches.push((pi, row as u32, col, v));
-                    scratch.dirty.push(std::cmp::Reverse(gate));
-                }
+        for &p in self.plan.parents(g) {
+            if let ParentRef::Perm { gate, row, col } = p {
+                let v = scratch
+                    .get(g)
+                    .expect("overlaid child value present")
+                    .clone();
+                let pi = self.plan.perm_index[gate as usize];
+                scratch.perm_patches.push((pi, row as u32, col, v));
             }
+            scratch.dirty.push(p.gate());
         }
     }
 
@@ -987,45 +1007,13 @@ impl<S: Ring, P: PermMaint<S>> DynEvaluator<S, P> {
     /// values mod 2⁶⁴ — exact whenever the true values fit the word.
     pub fn set_inputs_delta(&mut self, updates: &[(u32, S)]) {
         let mut deltas: agq_semiring::fx::FxHashMap<u32, S> = Default::default();
-        for (slot, v) in updates {
-            self.slot_values[*slot as usize] = v.clone();
-        }
-        for (s, _) in updates {
-            let slot = *s as usize;
-            for i in 0..self.plan.slot_gates.row(slot).len() {
-                let g = self.plan.slot_gates.row(slot)[i];
-                let new = self.slot_values[slot].clone();
-                if self.values[g as usize] != new {
-                    let d = new.sub(&self.values[g as usize]);
-                    self.values[g as usize] = new;
-                    self.mark_parents_delta(g, &d, &mut deltas);
-                }
-            }
-        }
-        while let Some(std::cmp::Reverse(g)) = self.dirty.pop() {
-            if self.dirty.peek() == Some(&std::cmp::Reverse(g)) {
-                continue;
-            }
+        self.seed_slots(updates, |ev, g, old| {
+            let d = ev.values[g as usize].sub(&old);
+            ev.mark_parents_delta(g, &d, &mut deltas);
+        });
+        while let Some(g) = self.dirty.pop() {
             let new = match &self.plan.circuit.gates()[g as usize] {
-                GateDef::Perm { .. } => {
-                    let pi = self.plan.perm_index[g as usize];
-                    let mut buf = std::mem::take(&mut self.perm_flush);
-                    buf.clear();
-                    let mut i = 0;
-                    while i < self.perm_pending.len() {
-                        if self.perm_pending[i].0 == pi {
-                            let (_, r, c, v) = self.perm_pending.swap_remove(i);
-                            buf.push((r as usize, c as usize, v));
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    if !buf.is_empty() {
-                        self.perms[pi as usize].update_batch(&buf);
-                    }
-                    self.perm_flush = buf;
-                    self.perms[pi as usize].total().clone()
-                }
+                GateDef::Perm { .. } => self.flush_perm(g),
                 GateDef::Add(_) => match deltas.remove(&g) {
                     Some(d) => self.values[g as usize].add(&d),
                     None => self.values[g as usize].clone(),
@@ -1052,24 +1040,21 @@ impl<S: Ring, P: PermMaint<S>> DynEvaluator<S, P> {
         d: &S,
         deltas: &mut agq_semiring::fx::FxHashMap<u32, S>,
     ) {
-        for i in 0..self.plan.parents.row(g as usize).len() {
-            let p = self.plan.parents.row(g as usize)[i];
+        for i in 0..self.plan.parents(g).len() {
+            let p = self.plan.parents(g)[i];
             match p {
-                ParentRef::Add(pg) => {
-                    let slot = deltas.entry(pg).or_insert_with(S::zero);
+                ParentRef::Add { gate, .. } => {
+                    let slot = deltas.entry(gate).or_insert_with(S::zero);
                     *slot = slot.add(d);
-                    self.dirty.push(std::cmp::Reverse(pg));
                 }
-                ParentRef::Mul(pg) => {
-                    self.dirty.push(std::cmp::Reverse(pg));
-                }
+                ParentRef::Mul(_) => {}
                 ParentRef::Perm { gate, row, col } => {
                     let v = self.values[g as usize].clone();
                     let pi = self.plan.perm_index[gate as usize];
                     self.perm_pending.push((pi, row as u32, col, v));
-                    self.dirty.push(std::cmp::Reverse(gate));
                 }
             }
+            self.dirty.push(p.gate());
         }
     }
 }
@@ -1092,7 +1077,7 @@ pub struct PeekScratch<S> {
     perm_patches: Vec<(u32, u32, u32, S)>,
     /// Assembly buffer for one permanent's patches.
     perm_buf: Vec<(usize, usize, S)>,
-    dirty: BinaryHeap<std::cmp::Reverse<u32>>,
+    dirty: DirtyQueue,
     /// Slot-dedup buffer: `(slot, index of its last patch)`.
     resolved: Vec<(u32, usize)>,
     /// Merged-cone gate ids ([`DynEvaluator::peek_memo`]).
@@ -1108,7 +1093,7 @@ impl<S> PeekScratch<S> {
             overlay: agq_semiring::fx::FxHashMap::default(),
             perm_patches: Vec::new(),
             perm_buf: Vec::new(),
-            dirty: BinaryHeap::new(),
+            dirty: DirtyQueue::new(),
             resolved: Vec::new(),
             cone: Vec::new(),
             cone_vals: Vec::new(),
@@ -1119,6 +1104,21 @@ impl<S> PeekScratch<S> {
         self.overlay.clear();
         self.perm_patches.clear();
         self.dirty.clear();
+    }
+
+    /// One `(slot, index of its last patch)` per patched slot — later
+    /// patches to a slot win. Returns the reused buffer; callers hand it
+    /// back by assigning `self.resolved`.
+    fn resolve(&mut self, patches: &[(u32, S)]) -> Vec<(u32, usize)> {
+        let mut resolved = std::mem::take(&mut self.resolved);
+        resolved.clear();
+        for (i, (slot, _)) in patches.iter().enumerate() {
+            match resolved.iter_mut().find(|&&mut (s, _)| s == *slot) {
+                Some((_, pi)) => *pi = i,
+                None => resolved.push((*slot, i)),
+            }
+        }
+        resolved
     }
 
     fn set(&mut self, gate: u32, value: S) {
@@ -1353,7 +1353,7 @@ mod tests {
         let patches = [(1u32, Nat(9))];
         assert_eq!(
             ev.peek_memo(&patches, &mut scratch),
-            ev.peek_alloc(&patches)
+            ev.peek(&patches, &mut PeekScratch::new())
         );
     }
 
@@ -1530,7 +1530,10 @@ mod tests {
         let ev: GeneralEvaluator<Nat> = DynEvaluator::new(circuit, &slots, &[Nat(1)]);
         let patches = [(0u32, Nat(7)), (5u32, Nat(0))];
         let mut scratch = PeekScratch::new();
-        assert_eq!(ev.peek(&patches, &mut scratch), ev.peek_alloc(&patches));
+        assert_eq!(
+            ev.peek(&patches, &mut scratch),
+            ev.peek(&patches, &mut PeekScratch::new())
+        );
         // empty patch list returns the current output
         assert_eq!(ev.peek(&[], &mut scratch), *ev.output());
     }

@@ -16,9 +16,10 @@
 //! and a [`GateDef`] stores only a [`ChildRange`] (offset + length) into
 //! it. [`Circuit::children`] resolves a range to a slice. [`GateDef`] is
 //! therefore `Copy`-cheap, gate iteration is cache-friendly, and circuits
-//! serialize/compare as plain flat buffers. The dynamic evaluator mirrors
-//! this layout: its parent lists and per-slot input-gate lists are CSR
-//! (offset table + one flat buffer), built in two counting passes.
+//! serialize/compare as plain flat buffers. The derived adjacency
+//! mirrors this layout: [`EvalPlan`]'s parent lists and per-slot
+//! input-gate lists are CSR (offset table + one flat buffer), built in
+//! two counting passes.
 //!
 //! # Evaluation
 //!
@@ -55,6 +56,12 @@
 //! `Arc<EvalPlan>` backs any number of states
 //! ([`DynEvaluator::from_plan`]) — this is what lets a sharded engine
 //! keep one compiled plan and a cheap mutable state per Gaifman shard.
+//! Topology does not depend on the semiring, so the plan is also the
+//! **one** adjacency of the stack: the free-semiring machine of
+//! `agq-enumerate` reads [`EvalPlan::parents`] /
+//! [`EvalPlan::slot_gates`] / [`EvalPlan::perm_index`] instead of
+//! deriving its own, and every sweep — update, delta, discovery peek,
+//! support — is scheduled by one [`DirtyQueue`].
 //! With cones memoized ([`EvalPlan::with_cones`]),
 //! [`DynEvaluator::peek_memo`] answers point queries by a single
 //! topological sweep of the precomputed cone.
@@ -77,16 +84,17 @@
 
 mod builder;
 mod csr;
+mod dirty;
 mod dynamic;
 mod eval;
 mod relabel;
 mod stats;
 
 pub use builder::CircuitBuilder;
-pub use csr::{Csr, CsrBuilder, CsrCursor};
+pub use dirty::DirtyQueue;
 pub use dynamic::{
     DenseRunStats, DynEvaluator, EvalPlan, FiniteEvaluator, FiniteMaint, GeneralEvaluator,
-    PeekScratch, PermMaint, RingEvaluator, RingMaint,
+    ParentRef, PeekScratch, PermMaint, RingEvaluator, RingMaint,
 };
 pub use eval::eval_gates;
 pub use stats::CircuitStats;

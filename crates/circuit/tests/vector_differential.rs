@@ -18,12 +18,18 @@
 //!    `FiniteEvaluator`) after random post-build update sweeps;
 //! 4. `peek_memo` overlays against a patched reference evaluation.
 //!
+//! The same random circuits (plus one with permanent gates) pin the
+//! **topology contract** of [`EvalPlan`] — the one adjacency every sweep,
+//! semiring or free-semiring, walks: parent entries point back at their
+//! child, nothing is missing or listed twice, slot rows and the perm
+//! numbering follow gate order.
+//!
 //! Float comparisons use `f64::to_bits`, so any fold-order drift in the
 //! bulk paths fails loudly rather than hiding inside an epsilon.
 
 use agq_circuit::{
-    eval_gates, Circuit, CircuitBuilder, ConstRef, DynEvaluator, FiniteEvaluator, GateDef, GateId,
-    GeneralEvaluator, PeekScratch, RingEvaluator,
+    eval_gates, Circuit, CircuitBuilder, ConstRef, DynEvaluator, EvalPlan, FiniteEvaluator,
+    GateDef, GateId, GeneralEvaluator, ParentRef, PeekScratch, RingEvaluator,
 };
 use agq_semiring::{lane_sum_slice, Mod, Nat, Semiring, F64};
 use proptest::collection::vec as pvec;
@@ -97,6 +103,94 @@ fn f64_slots(n: u32, salt: u32) -> Vec<F64> {
 
 fn bits(xs: &[F64]) -> Vec<u64> {
     xs.iter().map(|x| x.0.to_bits()).collect()
+}
+
+// ---------------------------------------------------------------------
+// Topology contract of the plan.
+// ---------------------------------------------------------------------
+
+fn check_topology(c: Circuit) {
+    let c = Arc::new(c);
+    let plan = EvalPlan::new(c.clone());
+    let gates = c.gates();
+    let n = gates.len() as u32;
+
+    // Every parent entry points back at the gate it is filed under, and
+    // no (parent, position) is filed twice.
+    let mut entries = 0usize;
+    let mut seen = std::collections::HashSet::new();
+    for g in 0..n {
+        for &p in plan.parents(g) {
+            entries += 1;
+            match (p, gates[p.gate() as usize]) {
+                (ParentRef::Add { gate, child_pos }, GateDef::Add(r)) => {
+                    assert_eq!(c.children(r)[child_pos as usize], GateId(g));
+                    assert!(seen.insert((gate, child_pos)), "{p:?} filed twice");
+                }
+                (ParentRef::Mul(_), GateDef::Mul(a, b)) => {
+                    let reads = usize::from(a.0 == g) + usize::from(b.0 == g);
+                    let filed = plan.parents(g).iter().filter(|&&q| q == p).count();
+                    assert_eq!(filed, reads, "{p:?} under gate {g}");
+                }
+                (ParentRef::Perm { gate, row, col }, GateDef::Perm { rows, cols }) => {
+                    assert!(row < rows);
+                    let at = col * u32::from(rows) + u32::from(row);
+                    assert_eq!(c.children(cols)[at as usize], GateId(g));
+                    assert!(seen.insert((gate, at)), "{p:?} filed twice");
+                }
+                (p, def) => panic!("{p:?} under gate {g} names {def:?}"),
+            }
+        }
+    }
+    // …and with the row lengths summing to the wire count, none is missing.
+    let wires: usize = gates
+        .iter()
+        .map(|g| match g {
+            GateDef::Add(r) => r.len(),
+            GateDef::Mul(..) => 2,
+            GateDef::Perm { cols, .. } => cols.len(),
+            GateDef::Input(_) | GateDef::Const(_) => 0,
+        })
+        .sum();
+    assert_eq!(entries, wires);
+
+    for slot in 0..c.num_slots() as u32 {
+        let readers: Vec<u32> = (0..n)
+            .filter(|&g| gates[g as usize] == GateDef::Input(slot))
+            .collect();
+        assert_eq!(plan.slot_gates(slot), readers, "slot {slot}");
+    }
+
+    let mut perms = 0u32;
+    for g in 0..n {
+        if matches!(gates[g as usize], GateDef::Perm { .. }) {
+            assert_eq!(plan.perm_index(g), Some(perms), "gate {g}");
+            perms += 1;
+        } else {
+            assert_eq!(plan.perm_index(g), None, "gate {g}");
+        }
+    }
+}
+
+/// Permanent gates of three and two rows whose entries are inputs, inner
+/// gates and repeats of both, read further up by an add (twice) and a mul.
+#[test]
+fn plan_topology_with_permanent_gates() {
+    let mut b = CircuitBuilder::new();
+    let x: Vec<GateId> = (0..5).map(|i| b.input(i)).collect();
+    let s = b.add(&[x[0], x[1], x[0]]);
+    let m = b.mul(x[2], x[2]);
+    let p3 = b.perm_flat(3, vec![x[0], s, m, x[3], x[3], s, m, x[4], x[1]]);
+    let p2 = b.perm_flat(2, vec![p3, x[0], s, p3, x[4], m]);
+    let sum = b.add(&[p2, p3, p2]);
+    let out = b.mul(sum, p2);
+    let c = b.finish(out);
+    assert_eq!(
+        c.stats().max_perm_rows,
+        3,
+        "the builder kept the permanents"
+    );
+    check_topology(c);
 }
 
 // ---------------------------------------------------------------------
@@ -180,6 +274,18 @@ proptest! {
             fin.set_input(slot, new);
             prop_assert_eq!(fin.gate_values(), &reference_eval(&circuit, &mslots)[..]);
         }
+    }
+
+    /// The plan's adjacency is exactly the circuit's wiring, before and
+    /// after the relabel that makes add children contiguous.
+    #[test]
+    fn plan_topology_points_back_at_the_circuit(
+        n_inputs in 1u32..10,
+        ops in ops_strategy(),
+    ) {
+        let circuit = build_circuit(n_inputs, &ops);
+        check_topology(circuit.cluster_adds());
+        check_topology(circuit);
     }
 
     /// Memoized peeks over the dense-run plan ≡ reference evaluation of

@@ -192,7 +192,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::Range;
 
-    /// Length specification for [`vec`]: an exact length or a half-open
+    /// Length specification for [`vec()`]: an exact length or a half-open
     /// range of lengths.
     pub struct SizeRange {
         lo: usize,
@@ -214,7 +214,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

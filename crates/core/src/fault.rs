@@ -27,8 +27,8 @@
 //!
 //! # Schedule format
 //!
-//! A schedule is a list of [`FaultSpec`]s per site; the first spec whose
-//! [`Trigger`] matches the current hit number decides the fault:
+//! A schedule is a list of `FaultSpec`s per site; the first spec whose
+//! `Trigger` matches the current hit number decides the fault:
 //!
 //! | trigger | fires on |
 //! |---|---|
@@ -55,7 +55,7 @@
 //!
 //! The registry is process-global (sites are reached from shard worker
 //! threads, so it must be), which means chaos tests that share a process
-//! must serialize access to it and [`clear_all`] between cases. A panic
+//! must serialize access to it and `clear_all` between cases. A panic
 //! raised by a firing fail-point deliberately happens *after* the
 //! registry lock is released, so the registry itself never poisons.
 

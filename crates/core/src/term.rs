@@ -12,7 +12,7 @@ use agq_semiring::Semiring;
 use agq_structure::{RelId, WeightId};
 
 /// A sum term whose variables (numbered `0..k`) denote pairwise distinct
-/// elements. Produced by [`expand_distinct`].
+/// elements. Produced by `expand_distinct`.
 #[derive(Clone, Debug)]
 pub struct DistinctTerm<S> {
     /// Constant multiplier.

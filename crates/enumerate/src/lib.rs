@@ -24,12 +24,13 @@
 //! immutable, `Send + Sync` **plan** ([`machine::EnumPlan`]) and a cheap
 //! mutable **state**, mirroring `agq_circuit::EvalPlan`/`DynEvaluator`:
 //!
-//! * the plan owns everything derived from the circuit topology alone —
-//!   parent references and per-slot input-gate lists as
-//!   [`agq_circuit::Csr`] buffers (built by the shared two-pass counting
-//!   builder), the dense `add_index`/`perm_index` side numbering, the
-//!   per-add-gate segment offsets, and the permanent pool layout. One
-//!   `Arc<EnumPlan>` backs any number of machine states
+//! * the plan is the enumeration layout — the dense `add_index`
+//!   numbering, the per-add-gate segment offsets, and the permanent pool
+//!   layout — over an `Arc<agq_circuit::EvalPlan>`, which holds the
+//!   circuit's adjacency (parent references, per-slot input-gate lists,
+//!   perm numbering, dense runs) once for every valuation: in an engine
+//!   it is the very plan the point queries and the count side run on.
+//!   One `Arc<EnumPlan>` backs any number of machine states
 //!   ([`machine::EnumMachine::from_plan`]);
 //! * the state owns only mutable buffers: input summand lists, the
 //!   support shadow, the live supported-children segments
@@ -40,7 +41,9 @@
 //!   mask-bucket lists threaded through flat arrays, with per-bucket
 //!   head/tail/count arrays; a support flip is an O(1) splice). No
 //!   per-gate, per-mask `Vec`s anywhere; the hot update path touches
-//!   flat arrays only and allocates nothing (the dirty queue is reused).
+//!   flat arrays only and allocates nothing (the dirty queue — an
+//!   [`agq_circuit::DirtyQueue`], the schedule of every sweep in the
+//!   stack — is reused).
 //!
 //! The cursor layer ([`cursor`]) walks the bucket lists through the
 //! pooled links and keeps its Hall-condition scratch on the stack, so

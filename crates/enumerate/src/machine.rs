@@ -3,24 +3,28 @@
 //! # Plan/state split
 //!
 //! The machine mirrors the plan/state architecture of
-//! [`agq_circuit::DynEvaluator`]: everything derived from the circuit
-//! topology alone lives in an immutable, `Send + Sync` [`EnumPlan`] —
-//! parent references and per-slot input-gate lists as [`Csr`] buffers,
-//! dense add/perm side numbering, per-add-gate segment offsets, and the
-//! per-perm-gate pool layout. The [`EnumMachine`] is the mutable state
-//! half: input summand lists, the Boolean support shadow, the live
-//! supported-children segments, and the pooled permanent support
-//! structure. One `Arc<EnumPlan>` backs any number of machine states
-//! ([`EnumMachine::from_plan`]) — the per-shard answer indexes of a
-//! sharded engine share one plan.
+//! [`agq_circuit::DynEvaluator`], and shares its plan: circuit topology
+//! is semiring-independent, so the adjacency the free-semiring sweep
+//! walks — parent references, per-slot input-gate lists, the perm-gate
+//! numbering, the dense-run table — is the one the point and count
+//! valuations walk, held once by an [`agq_circuit::EvalPlan`]. The
+//! immutable, `Send + Sync` [`EnumPlan`] adds only the **enumeration
+//! layout** on top of an `Arc<EvalPlan>`: the dense add-gate numbering
+//! with per-add-gate segment offsets, and the per-perm-gate pool layout.
+//! The [`EnumMachine`] is the mutable state half: input summand lists,
+//! the Boolean support shadow, the live supported-children segments, and
+//! the pooled permanent support structure. One `Arc<EnumPlan>` backs any
+//! number of machine states ([`EnumMachine::from_plan`]) — the per-shard
+//! answer indexes of a sharded engine share one plan, and through it the
+//! engine's one `EvalPlan`.
 //!
 //! # Flat layout
 //!
 //! Addition gates' live supported-children lists are flattened into one
-//! shared buffer ([`AddSupports`]): every add gate owns a fixed-capacity
+//! shared buffer (`AddSupports`): every add gate owns a fixed-capacity
 //! segment sized by its fan-in, so membership updates are in-place
 //! swap-removes with no per-gate allocation. The Lemma 39 permanent
-//! support structure is likewise pooled ([`PermPool`]): per-column masks
+//! support structure is likewise pooled (`PermPool`): per-column masks
 //! and doubly-linked bucket lists live in arrays sized by the total
 //! column count over all permanent gates, and per-mask bucket
 //! heads/tails/counts in arrays sized by the total bucket count — moving
@@ -28,12 +32,11 @@
 //! per-gate, per-mask `Vec`s anywhere.
 
 use agq_circuit::{
-    Circuit, ConstRef, Csr, CsrBuilder, EvalPlan, GateDef, GateId, GeneralEvaluator,
+    Circuit, ConstRef, DirtyQueue, EvalPlan, GateDef, GateId, GeneralEvaluator, ParentRef,
 };
 use agq_perm::support::sdr_exists;
 use agq_semiring::{Gen, Nat};
-use std::collections::BinaryHeap;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// An input value in the free semiring: a list of summand monomials,
 /// each a (not necessarily sorted) list of generators. The empty list is
@@ -263,15 +266,15 @@ impl CountState {
             // Dense fast path: when every child is live in position order
             // (the steady state of a fully-populated add gate) and the
             // children are one contiguous id run (the compiler's
-            // `cluster_adds` layout), the rank table is a prefix scan of
-            // one value slice — sequential loads instead of a per-child
-            // `kids[pos]` → `value()` double indirection. Support churn
-            // that permutes `nz` falls back to the gather, which defines
-            // the enumeration order either way.
+            // `cluster_adds` layout, read off the plan's dense-run
+            // table), the rank table is a prefix scan of one value slice
+            // — sequential loads instead of a per-child `kids[pos]` →
+            // `value()` double indirection. Support churn that permutes
+            // `nz` falls back to the gather, which defines the
+            // enumeration order either way.
             let dense = nz.len() == kids.len()
-                && !kids.is_empty()
-                && nz.iter().enumerate().all(|(i, &p)| p as usize == i)
-                && kids.windows(2).all(|w| w[1].0 == w[0].0 + 1);
+                && matches!(eval.plan().add_runs(gate), [_])
+                && nz.iter().enumerate().all(|(i, &p)| p as usize == i);
             if dense {
                 let lo = kids[0].0 as usize;
                 let vals = &eval.gate_values()[lo..lo + kids.len()];
@@ -341,176 +344,78 @@ impl AddSupports {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-enum ParentRef {
-    Add { gate: u32, child_pos: u32 },
-    Mul(u32),
-    Perm { gate: u32, row: u8, col: u32 },
-}
-
-/// The immutable half of the enumeration machine: adjacency, dense side
-/// numbering, and pool layout, all derived from the circuit topology in
-/// two counting passes. `Send + Sync`; shared by every state over the
-/// same circuit.
+/// The immutable half of the enumeration machine: the enumeration layout
+/// — dense add numbering with segment offsets, perm pool layout — over
+/// the [`EvalPlan`] that holds the circuit's adjacency. `Send + Sync`;
+/// shared by every state over the same circuit.
 pub struct EnumPlan {
+    /// `eval_plan`'s circuit, held directly: the cursors resolve it on
+    /// every gate visit.
     circuit: Arc<Circuit>,
-    /// The evaluation plan the ℕ count side runs on: handed over by an
-    /// engine that already holds one for this circuit
-    /// ([`EnumPlan::with_eval_plan`]), otherwise derived by the first
-    /// rank read. Either way one plan serves every machine state.
-    eval_plan: OnceLock<Arc<EvalPlan>>,
-    /// Parents of each gate.
-    parents: Csr<ParentRef>,
-    /// Input gates per slot (updates must not scan the circuit).
-    slot_gates: Csr<u32>,
+    /// Adjacency of the circuit, and the plan the ℕ count side runs on:
+    /// in an engine, the very `EvalPlan` the point queries use.
+    eval_plan: Arc<EvalPlan>,
     /// Gate id → dense add index (`NO_IDX` for non-add gates).
     add_index: Vec<u32>,
     /// Dense add index → start of its [`AddSupports`] segment
     /// (`add_offsets[num_adds]` is the total).
     add_offsets: Vec<u32>,
-    /// Dense add index → first child gate id when the gate's whole child
-    /// segment is one contiguous ascending id run (`NO_IDX` otherwise).
-    /// After the compiler's `cluster_adds` relabeling this covers almost
-    /// every add gate; dense gates let the initial support pass read the
-    /// children's support 64-wide from a bitset instead of per child.
-    add_dense_lo: Vec<u32>,
-    /// Gate id → dense perm index (`NO_IDX` for non-perm gates).
-    perm_index: Vec<u32>,
-    /// Dense perm index → pool layout.
+    /// Pool layout of each perm gate, by [`EvalPlan::perm_index`].
     perm_meta: Vec<PermMeta>,
     total_cols: usize,
     total_buckets: usize,
 }
 
 impl EnumPlan {
-    /// Derive the plan of `circuit`.
+    /// Derive the plan of `circuit`, adjacency included.
     ///
     /// # Panics
     /// Panics if the circuit uses literal-table constants — enumeration
     /// circuits carry coefficient 1 everywhere.
     pub fn new(circuit: Arc<Circuit>) -> Self {
-        Self::build(circuit, OnceLock::new())
+        Self::with_eval_plan(Arc::new(EvalPlan::new(circuit)))
     }
 
-    /// Derive the enumeration plan of the circuit `eval_plan` describes
-    /// and keep `eval_plan` for the count side: an engine valuates
-    /// **one** circuit three ways, so point queries and rank counts
-    /// share one adjacency. Panics as [`EnumPlan::new`].
+    /// Lay the enumeration out over the circuit `eval_plan` describes,
+    /// reading adjacency from it: an engine valuates **one** circuit
+    /// three ways, so point queries, enumeration and rank counts share
+    /// one topology. Panics as [`EnumPlan::new`].
     pub fn with_eval_plan(eval_plan: Arc<EvalPlan>) -> Self {
-        Self::build(eval_plan.circuit().clone(), OnceLock::from(eval_plan))
-    }
-
-    fn build(circuit: Arc<Circuit>, eval_plan: OnceLock<Arc<EvalPlan>>) -> Self {
+        let circuit = eval_plan.circuit().clone();
         assert_eq!(
             circuit.num_lits(),
             0,
             "enumeration circuits must not use literal constants"
         );
-        let gates = circuit.gates();
-        let n = gates.len();
-
-        // Counting pass: parent references, input gates per slot, dense
-        // side-table sizes, and pool layout.
-        let mut parents = CsrBuilder::new(n);
-        let mut slot_gates = CsrBuilder::new(circuit.num_slots());
-        let mut add_index = vec![NO_IDX; n];
-        let mut perm_index = vec![NO_IDX; n];
+        let mut add_index = vec![NO_IDX; circuit.len()];
         let mut add_offsets: Vec<u32> = vec![0];
-        let mut add_dense_lo: Vec<u32> = Vec::new();
         let mut perm_meta: Vec<PermMeta> = Vec::new();
         let mut total_cols = 0usize;
         let mut total_buckets = 0usize;
-        for (i, g) in gates.iter().enumerate() {
+        for (i, g) in circuit.gates().iter().enumerate() {
             match g {
-                GateDef::Input(slot) => slot_gates.count(*slot as usize),
-                GateDef::Const(_) => {}
                 GateDef::Add(r) => {
                     add_index[i] = (add_offsets.len() - 1) as u32;
                     let last = *add_offsets.last().expect("nonempty");
                     add_offsets.push(last + r.len() as u32);
-                    let kids = circuit.children(*r);
-                    add_dense_lo.push(
-                        if !kids.is_empty() && kids.windows(2).all(|w| w[1].0 == w[0].0 + 1) {
-                            kids[0].0
-                        } else {
-                            NO_IDX
-                        },
-                    );
-                    for c in kids {
-                        parents.count(c.0 as usize);
-                    }
-                }
-                GateDef::Mul(a, b) => {
-                    parents.count(a.0 as usize);
-                    parents.count(b.0 as usize);
                 }
                 GateDef::Perm { rows, cols } => {
-                    let k = *rows as usize;
-                    let ncols = cols.len() / k;
-                    perm_index[i] = perm_meta.len() as u32;
                     perm_meta.push(PermMeta {
                         k: *rows,
                         col_base: total_cols as u32,
                         bucket_base: total_buckets as u32,
                     });
-                    total_cols += ncols;
-                    total_buckets += 1 << k;
-                    for c in circuit.children(*cols) {
-                        parents.count(c.0 as usize);
-                    }
+                    total_cols += cols.len() / *rows as usize;
+                    total_buckets += 1 << *rows;
                 }
+                GateDef::Input(_) | GateDef::Const(_) | GateDef::Mul(..) => {}
             }
         }
-
-        // Placement pass.
-        let mut parents = parents.finish_counts(ParentRef::Mul(0));
-        let mut slot_gates = slot_gates.finish_counts(0u32);
-        for (i, g) in gates.iter().enumerate() {
-            match g {
-                GateDef::Input(slot) => slot_gates.place(*slot as usize, i as u32),
-                GateDef::Const(_) => {}
-                GateDef::Add(children) => {
-                    for (p, c) in circuit.children(*children).iter().enumerate() {
-                        parents.place(
-                            c.0 as usize,
-                            ParentRef::Add {
-                                gate: i as u32,
-                                child_pos: p as u32,
-                            },
-                        );
-                    }
-                }
-                GateDef::Mul(a, b) => {
-                    parents.place(a.0 as usize, ParentRef::Mul(i as u32));
-                    parents.place(b.0 as usize, ParentRef::Mul(i as u32));
-                }
-                GateDef::Perm { rows, cols } => {
-                    let k = *rows as usize;
-                    for (ci, col) in circuit.children(*cols).chunks_exact(k).enumerate() {
-                        for (r, child) in col.iter().enumerate() {
-                            parents.place(
-                                child.0 as usize,
-                                ParentRef::Perm {
-                                    gate: i as u32,
-                                    row: r as u8,
-                                    col: ci as u32,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-        }
-
         EnumPlan {
             circuit,
             eval_plan,
-            parents: parents.finish(),
-            slot_gates: slot_gates.finish(),
             add_index,
             add_offsets,
-            add_dense_lo,
-            perm_index,
             perm_meta,
             total_cols,
             total_buckets,
@@ -522,11 +427,16 @@ impl EnumPlan {
         &self.circuit
     }
 
-    /// The evaluation plan of the count side (derived on first use when
-    /// no engine supplied one).
+    /// The evaluation plan holding this circuit's adjacency (and serving
+    /// the count side).
     pub fn eval_plan(&self) -> &Arc<EvalPlan> {
-        self.eval_plan
-            .get_or_init(|| Arc::new(EvalPlan::new(self.circuit.clone())))
+        &self.eval_plan
+    }
+
+    /// Pool layout of permanent gate `gate`.
+    fn perm_meta(&self, gate: u32) -> PermMeta {
+        let pi = self.eval_plan.perm_index(gate).expect("a permanent gate");
+        self.perm_meta[pi as usize]
     }
 }
 
@@ -534,8 +444,8 @@ impl EnumPlan {
 /// input summand lists, a Boolean support shadow of every gate, and the
 /// pooled Lemma 39 structures at permanent gates. Input updates propagate
 /// in time proportional to the (query-bounded) number of affected gates,
-/// with no allocation on the update path (the adjacency is immutable
-/// CSR in the shared [`EnumPlan`], the dirty queue is reused).
+/// with no allocation on the update path (the adjacency is immutable in
+/// the shared plan, the dirty queue is reused).
 pub struct EnumMachine {
     plan: Arc<EnumPlan>,
     /// Summand lists per input slot.
@@ -545,7 +455,7 @@ pub struct EnumMachine {
     add_sup: AddSupports,
     perms: PermPool,
     /// Reused dirty queue (drained after every update).
-    dirty: BinaryHeap<std::cmp::Reverse<u32>>,
+    dirty: DirtyQueue,
     /// Presence bitset over slots: bit `slot` is set iff the slot's value
     /// is nonzero (a non-empty summand list). Lets batched 0/1 flips
     /// compute the changed set word-at-a-time.
@@ -608,7 +518,7 @@ impl EnumMachine {
     /// plan: one bottom-up support pass over the gate arena, no counting
     /// passes, no adjacency rebuild.
     pub fn from_plan(plan: Arc<EnumPlan>, input_vals: Vec<InputVal>) -> Self {
-        let circuit = &plan.circuit;
+        let circuit = plan.circuit();
         assert_eq!(input_vals.len(), circuit.num_slots());
         let gates = circuit.gates();
         let n = gates.len();
@@ -619,7 +529,9 @@ impl EnumMachine {
         let mut perms = PermPool::with_layout(plan.total_cols, plan.total_buckets);
         let mut support = vec![false; n];
         // Word-wide mirror of `support`, maintained during this pass only:
-        // dense add gates read their children's support 64 bits at a time
+        // dense add gates (the whole child segment one contiguous id run
+        // — after the compiler's `cluster_adds` relabeling, almost every
+        // one) read their children's support 64 bits at a time
         // instead of one bool per child (zero words skip 64 children in
         // one compare — on the compiled circuits most mass sits under a
         // few wide add gates, so this is the bulk of the O(circuit) per
@@ -635,9 +547,8 @@ impl EnumMachine {
                 GateDef::Add(children) => {
                     let ai = plan.add_index[i] as usize;
                     let kids = circuit.children(*children);
-                    let dense = plan.add_dense_lo[ai];
-                    if dense != NO_IDX {
-                        let lo = dense as usize;
+                    if let &[(lo, _)] = plan.eval_plan.add_runs(i as u32) {
+                        let lo = lo as usize;
                         let hi = lo + kids.len();
                         let mut any = false;
                         let w0 = lo / 64;
@@ -670,7 +581,7 @@ impl EnumMachine {
                 GateDef::Mul(a, b) => support[a.0 as usize] && support[b.0 as usize],
                 GateDef::Perm { rows, cols } => {
                     let k = *rows as usize;
-                    let meta = plan.perm_meta[plan.perm_index[i] as usize];
+                    let meta = plan.perm_meta(i as u32);
                     for (ci, col) in circuit.children(*cols).chunks_exact(k).enumerate() {
                         let mut m = 0u32;
                         for (r, child) in col.iter().enumerate() {
@@ -699,7 +610,7 @@ impl EnumMachine {
             support,
             add_sup,
             perms,
-            dirty: BinaryHeap::new(),
+            dirty: DirtyQueue::new(),
             slot_bits,
             flip_words: Vec::new(),
             flip_scratch: Vec::new(),
@@ -743,7 +654,7 @@ impl EnumMachine {
     /// the plan's layout so a corrupted dump is an `Err`, never an
     /// out-of-bounds panic in the enumeration hot path.
     pub fn from_saved(plan: Arc<EnumPlan>, dump: MachineStateDump) -> Result<Self, &'static str> {
-        let circuit = &plan.circuit;
+        let circuit = plan.circuit();
         let n = circuit.len();
         if dump.input_vals.len() != circuit.num_slots() {
             return Err("input count disagrees with the circuit");
@@ -840,7 +751,7 @@ impl EnumMachine {
                 tails: dump.perm_tails,
                 counts: dump.perm_counts,
             },
-            dirty: BinaryHeap::new(),
+            dirty: DirtyQueue::new(),
             slot_bits,
             flip_words: Vec::new(),
             flip_scratch: Vec::new(),
@@ -861,7 +772,7 @@ impl EnumMachine {
 
     /// The underlying circuit.
     pub fn circuit(&self) -> &Arc<Circuit> {
-        &self.plan.circuit
+        self.plan.circuit()
     }
 
     /// Current value of an input slot.
@@ -871,7 +782,7 @@ impl EnumMachine {
 
     /// Whether the output is nonzero (at least one summand).
     pub fn output_supported(&self) -> bool {
-        self.support[self.plan.circuit.output().0 as usize]
+        self.support[self.circuit().output().0 as usize]
     }
 
     /// Live supported-children list of an addition gate.
@@ -883,10 +794,8 @@ impl EnumMachine {
 
     /// Lemma 39 support structure of a permanent gate.
     pub(crate) fn perm_support(&self, gate: u32) -> PermSupport<'_> {
-        let pi = self.plan.perm_index[gate as usize];
-        debug_assert_ne!(pi, NO_IDX, "not a permanent gate");
         PermSupport {
-            meta: self.plan.perm_meta[pi as usize],
+            meta: self.plan.perm_meta(gate),
             pool: &self.perms,
         }
     }
@@ -973,7 +882,6 @@ impl EnumMachine {
             }
         }
         self.flip_scratch = sorted;
-        let mut dirty = std::mem::take(&mut self.dirty);
         for &(w, touched, desired) in &words {
             let cur = self.slot_bits[w as usize];
             let changed = (cur ^ desired) & touched;
@@ -997,76 +905,67 @@ impl EnumMachine {
                 }
                 self.note_count(slot);
                 if changed >> b & 1 == 1 {
-                    for i in 0..self.plan.slot_gates.row(slot as usize).len() {
-                        let g = self.plan.slot_gates.row(slot as usize)[i];
-                        if self.support[g as usize] != present {
-                            self.support[g as usize] = present;
-                            self.notify_parents(g, &mut dirty);
-                        }
-                    }
+                    self.seed_slot(slot, present);
                 }
             }
         }
-        self.drain_dirty(&mut dirty);
-        self.dirty = dirty;
+        self.drain_dirty();
         self.flip_words = words;
     }
 
     /// Propagate a slot's (possibly changed) support through the shadow.
     fn refresh_slot(&mut self, slot: u32, new_support: bool) {
         self.version += 1;
-        // All input gates reading this slot flip together (indexed; an
-        // update must not scan the circuit).
-        let mut dirty = std::mem::take(&mut self.dirty);
-        for i in 0..self.plan.slot_gates.row(slot as usize).len() {
-            let g = self.plan.slot_gates.row(slot as usize)[i];
-            if self.support[g as usize] != new_support {
-                self.support[g as usize] = new_support;
-                self.notify_parents(g, &mut dirty);
+        self.seed_slot(slot, new_support);
+        self.drain_dirty();
+    }
+
+    /// Flip every input gate reading `slot` to `present` (indexed; an
+    /// update must not scan the circuit) and queue the parents of those
+    /// that changed.
+    fn seed_slot(&mut self, slot: u32, present: bool) {
+        for i in 0..self.plan.eval_plan.slot_gates(slot).len() {
+            let g = self.plan.eval_plan.slot_gates(slot)[i];
+            if self.support[g as usize] != present {
+                self.support[g as usize] = present;
+                self.notify_parents(g);
             }
         }
-        self.drain_dirty(&mut dirty);
-        self.dirty = dirty;
     }
 
     /// Drain the dirty queue: ascending gate ids (topological), each gate
     /// settled at most once per sweep.
-    fn drain_dirty(&mut self, dirty: &mut BinaryHeap<std::cmp::Reverse<u32>>) {
-        while let Some(std::cmp::Reverse(g)) = dirty.pop() {
-            if dirty.peek() == Some(&std::cmp::Reverse(g)) {
-                continue;
-            }
+    fn drain_dirty(&mut self) {
+        while let Some(g) = self.dirty.pop() {
             let new = self.recompute_support(g);
             if self.support[g as usize] != new {
                 self.support[g as usize] = new;
-                self.notify_parents(g, dirty);
+                self.notify_parents(g);
             }
         }
     }
 
-    fn notify_parents(&mut self, g: u32, dirty: &mut BinaryHeap<std::cmp::Reverse<u32>>) {
+    fn notify_parents(&mut self, g: u32) {
         let sup = self.support[g as usize];
-        for &p in self.plan.parents.row(g as usize) {
+        for &p in self.plan.eval_plan.parents(g) {
             match p {
                 ParentRef::Add { gate, child_pos } => {
                     let ai = self.plan.add_index[gate as usize] as usize;
                     self.add_sup
                         .set(&self.plan.add_offsets, ai, child_pos as usize, sup);
-                    dirty.push(std::cmp::Reverse(gate));
                 }
-                ParentRef::Mul(gate) => dirty.push(std::cmp::Reverse(gate)),
+                ParentRef::Mul(_) => {}
                 ParentRef::Perm { gate, row, col } => {
-                    let pi = self.plan.perm_index[gate as usize] as usize;
-                    let meta = self.plan.perm_meta[pi];
+                    let meta = self.plan.perm_meta(gate);
                     self.perms.set_entry(meta, row as usize, col as usize, sup);
-                    dirty.push(std::cmp::Reverse(gate));
                 }
             }
+            self.dirty.push(p.gate());
         }
     }
 
     fn recompute_support(&self, g: u32) -> bool {
-        match &self.plan.circuit.gates()[g as usize] {
+        match &self.circuit().gates()[g as usize] {
             GateDef::Input(_) | GateDef::Const(_) => self.support[g as usize],
             GateDef::Add(_) => !self.add_nz(g).is_empty(),
             GateDef::Mul(a, b) => self.support[a.0 as usize] && self.support[b.0 as usize],
@@ -1084,7 +983,7 @@ impl EnumMachine {
             .iter()
             .map(|v| Nat(v.len() as u64))
             .collect();
-        self.plan.circuit.eval(&slots, &[]).0
+        self.circuit().eval(&slots, &[]).0
     }
 
     /// The per-gate count state, built on first use and flushed up to
@@ -1148,7 +1047,7 @@ impl EnumMachine {
     /// recovery and quarantine-restore paths, not a hot path.
     pub fn self_check(&self) -> Result<(), String> {
         let plan = &self.plan;
-        let circuit = &plan.circuit;
+        let circuit = plan.circuit();
         let gates = circuit.gates();
         if self.support.len() != gates.len() {
             return Err(format!(
@@ -1245,10 +1144,9 @@ impl EnumMachine {
                 GateDef::Mul(a, b) => self.support[a.0 as usize] && self.support[b.0 as usize],
                 GateDef::Perm { rows, cols } => {
                     let k = *rows as usize;
-                    let pi = plan.perm_index[i];
-                    if pi == NO_IDX {
+                    let Some(pi) = plan.eval_plan.perm_index(i as u32) else {
                         return Err(format!("gate {i}: perm gate missing from the dense index"));
-                    }
+                    };
                     let meta = plan.perm_meta[pi as usize];
                     let children = circuit.children(*cols);
                     let ncols = children.len() / k;
@@ -1462,6 +1360,69 @@ mod tests {
     fn plan_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<EnumPlan>();
+    }
+
+    /// The stand-alone path ([`EnumPlan::new`]) and the engine path
+    /// ([`EnumPlan::with_eval_plan`] over the point side's plan, cones
+    /// memoized) differ only in who built the `EvalPlan`: fed one flip
+    /// script through both update entry points, the two machines agree
+    /// on enumeration *order*, counts and every invariant.
+    #[test]
+    fn standalone_and_engine_plans_drive_identical_machines() {
+        // out = perm₂[(a_i, a_i·b_i)]_{i<4} + Σ_i b_i over slots a = 0..4, b = 4..8
+        let mut b = CircuitBuilder::new();
+        let (mut entries, mut bs) = (Vec::new(), Vec::new());
+        for i in 0..4 {
+            let a = b.input(i);
+            let w = b.input(4 + i);
+            entries.extend([a, b.mul(a, w)]);
+            bs.push(w);
+        }
+        let p = b.perm_flat(2, entries);
+        let s = b.add(&bs);
+        let out = b.add(&[p, s]);
+        let c = Arc::new(b.finish(out));
+        let init: Vec<InputVal> = (0..8).map(|i| gens(&[i + 1])).collect();
+
+        let all_slots: Vec<u32> = (0..8).collect();
+        let engine_plan = Arc::new(EvalPlan::with_cones(c.clone(), &all_slots));
+        let shared_plan = Arc::new(EnumPlan::with_eval_plan(engine_plan.clone()));
+        assert!(Arc::ptr_eq(shared_plan.eval_plan(), &engine_plan));
+        let mut alone = EnumMachine::new(c, init.clone());
+        let mut shared = EnumMachine::from_plan(shared_plan, init);
+
+        let stream = |m: &EnumMachine| {
+            let mut it = m.summands();
+            std::iter::from_fn(|| it.next()).collect::<Vec<_>>()
+        };
+        let script = [
+            (0, false),
+            (5, false),
+            (0, true),
+            (2, false),
+            (6, false),
+            (5, true),
+            (2, true),
+            (7, false),
+            (6, true),
+        ];
+        for (step, &(slot, present)) in script.iter().enumerate() {
+            for m in [&mut alone, &mut shared] {
+                if step % 2 == 0 {
+                    m.set_input_bool(slot, present);
+                } else if present {
+                    m.set_input(slot, gens(&[slot as u64 + 10, slot as u64 + 20]));
+                } else {
+                    m.set_input(slot, vec![]);
+                }
+            }
+            let order = stream(&alone);
+            assert_eq!(order, stream(&shared), "step {step}: enumeration order");
+            assert_eq!(alone.summand_count(), order.len() as u64, "step {step}");
+            assert_eq!(shared.summand_count(), order.len() as u64, "step {step}");
+            assert_eq!(alone.self_check(), Ok(()), "step {step}");
+            assert_eq!(shared.self_check(), Ok(()), "step {step}");
+        }
     }
 
     fn gens(ids: &[u64]) -> InputVal {

@@ -49,7 +49,7 @@
 //! global ranks through a prefix table of per-shard counts — that is
 //! how [`ShardedEngine::answer`] serves the k-th answer in `O(depth)`
 //! per shard probed, and how [`ShardedEngine::for_each_answer`] /
-//! [`ShardedEngine::enumerate_merged`] stream every answer by chaining
+//! [`ShardedEngine::collect_answers`] stream every answer by chaining
 //! the per-shard cursors (a k-way merge by global rank degenerates to
 //! concatenation, because the shards own contiguous rank intervals).
 //! The native cursor order is *not* lexicographic on the answer tuples
@@ -112,7 +112,7 @@ use agq_logic::Formula;
 use agq_perm::SegTreePerm;
 use agq_semiring::Semiring;
 use agq_structure::gaifman::GaifmanComponents;
-use agq_structure::{Elem, RelId, Structure, WeightedStructure};
+use agq_structure::{Elem, Structure, WeightedStructure};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -481,13 +481,12 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
         Ok((lsn, dumps))
     }
 
-    /// Run `f` against one shard's state under its read lock — the
-    /// shared-plan accessor snapshotting uses (every shard points at the
-    /// same compiled query and plans).
+    /// Run `f` against shard `s`'s state under its read lock.
     ///
     /// # Panics
     /// Panics if shard `s` is quarantined; use
-    /// [`ShardedEngine::with_healthy_shard`] when any shard will do.
+    /// [`ShardedEngine::with_healthy_shard`] when any shard will do —
+    /// every shard points at the same compiled query and plans.
     pub fn with_shard<R>(
         &self,
         s: usize,
@@ -500,9 +499,9 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
     }
 
     /// Run `f` against the first healthy shard's state under its read
-    /// lock — shared-plan access that tolerates quarantined shards (the
-    /// restore path sources plan `Arc`s this way). `None` iff every
-    /// shard is quarantined.
+    /// lock — shared-plan access that tolerates quarantined shards (plan
+    /// saves and the restore path source the plan `Arc`s this way).
+    /// `None` iff every shard is quarantined.
     pub fn with_healthy_shard<R>(
         &self,
         f: impl FnOnce(&QueryEngine<S, P>, &AnswerIndex) -> R,
@@ -860,15 +859,13 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
     where
         P: Send + Sync,
     {
-        // Coalesce per (rel, tuple) and route: walk backwards so the last
-        // update wins.
-        let mut seen: agq_core::FxHashSet<(RelId, &[Elem])> =
-            agq_core::FxHashSet::with_capacity_and_hasher(updates.len(), Default::default());
+        // Coalesce per (rel, tuple) — the last update wins — and route
+        // the survivors in the order they come back (reverse
+        // chronological).
+        let mut coalesced = Vec::with_capacity(updates.len());
+        agq_core::coalesce_updates(updates, &mut coalesced);
         let mut groups: Vec<Vec<&TupleUpdate>> = vec![Vec::new(); self.shards.len()];
-        for u in updates.iter().rev() {
-            if !seen.insert((u.rel, &u.tuple[..])) {
-                continue;
-            }
+        for u in coalesced {
             match self.route(&u.tuple) {
                 Route::Shard(s) => groups[s].push(u),
                 Route::Cross => {
@@ -1196,26 +1193,12 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
         (out, missing)
     }
 
-    /// All answers merged into one globally ordered stream: a thin
-    /// collect wrapper over the streaming merge of
-    /// [`ShardedEngine::for_each_answer`] (the shards partition the
-    /// answer set and own contiguous global-rank intervals, so the
-    /// k-way merge by rank is a chain of the per-shard constant-delay
-    /// cursors — nothing is materialized per shard, and nothing is
-    /// sorted). The global order is rank order, **not** lexicographic:
-    /// the native cursor order follows the circuit structure, so a
-    /// lexicographic stream would require materializing and sorting
-    /// every answer — the OOM risk this method used to carry.
-    pub fn enumerate_merged(&self) -> Vec<Vec<Elem>> {
-        self.collect_answers()
-    }
-
     // ----- fault management ---------------------------------------------
 
     /// The shard that owns `tuple` under the Gaifman-component routing,
     /// or `None` when the tuple's elements are not all known to one
-    /// component (operators use this to direct
-    /// [`ShardedEngine::restore`][`crate::shard`]-style repairs).
+    /// component (`agq_persist::restore_quarantined_shard` filters the
+    /// journaled batches down to the shard it rebuilds with this).
     pub fn owning_shard(&self, tuple: &[Elem]) -> Option<usize> {
         match self.route(tuple) {
             Route::Shard(s) => Some(s),
@@ -1349,7 +1332,7 @@ mod tests {
         assert_eq!(eng.count(), 14);
         let collected = eng.collect_answers();
         assert_eq!(
-            eng.enumerate_merged(),
+            eng.collect_answers(),
             collected,
             "merged stream is the global rank order"
         );

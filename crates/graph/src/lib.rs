@@ -8,7 +8,7 @@
 //!   expansion class is `d`-degenerate, and a greedy linear-time algorithm
 //!   produces an acyclic orientation with out-degree ≤ `d`
 //!   ([`degeneracy::degeneracy_orientation`]);
-//! * **low-treedepth colorings** (Proposition 1, [16]): a vertex coloring
+//! * **low-treedepth colorings** (Proposition 1, \[16\]): a vertex coloring
 //!   such that any `p` color classes induce a subgraph of bounded
 //!   treedepth ([`ltd::low_treedepth_coloring`], via transitive–fraternal
 //!   augmentation);

@@ -1,4 +1,4 @@
-//! Nested weighted queries over multiple semirings: the logic **FOG[C]**
+//! Nested weighted queries over multiple semirings: the logic **FOG\[C\]**
 //! and its evaluation (Theorem 26) — system **S9**, result (B)/(E).
 //!
 //! Section 7 of the paper introduces `FO[C]`: formulas typed by semirings,

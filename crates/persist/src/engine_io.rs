@@ -111,8 +111,10 @@ where
 }
 
 /// Write the shared immutable plan of a sharded engine to a `.agqplan`
-/// file (every shard references the same plan, so shard 0's is *the*
-/// plan).
+/// file. Every shard references the same plan, so any healthy shard's is
+/// *the* plan: quarantined shards do not stand in the way, and only an
+/// engine with no healthy shard left is
+/// [`PersistError::ShardsUnavailable`].
 pub fn save_sharded_plan<S, P>(
     engine: &ShardedEngine<S, P>,
     path: impl AsRef<Path>,
@@ -121,13 +123,16 @@ where
     S: Semiring + PersistValue,
     P: PermMaint<S>,
 {
-    let body = engine.with_shard(0, |qe, index| plan::write_bundle(&PlanRefs::of(qe, index)));
+    let body = engine
+        .with_healthy_shard(|qe, index| plan::write_bundle(&PlanRefs::of(qe, index)))
+        .ok_or_else(|| PersistError::ShardsUnavailable(engine.quarantined_shards()))?;
     write_artifact(path, PLAN_MAGIC, S::TAG, &body)
 }
 
-/// Load a `.agqplan` file and rebuild the derived evaluation and
-/// enumeration plans (one linear pass each over the one decoded circuit
-/// — this is the step that replaces recompilation at cold start).
+/// Load a `.agqplan` file and rebuild the derived plans — one adjacency,
+/// one enumeration layout over it, both linear in the one decoded
+/// circuit (this is the step that replaces recompilation at cold
+/// start).
 pub fn load_plan<S: PersistValue>(path: impl AsRef<Path>) -> Result<LoadedPlan<S>, PersistError> {
     let body = read_artifact(path, PLAN_MAGIC, S::TAG)?;
     plan::read_bundle::<S>(&body).map(LoadedPlan::from_bundle)

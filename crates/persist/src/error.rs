@@ -47,9 +47,10 @@ pub enum PersistError {
     /// was valid when logged no longer is — e.g. the artifacts come from
     /// different databases).
     Replay(UpdateError),
-    /// A whole-engine snapshot was requested while the listed shards
-    /// were quarantined — the dump would silently omit their state.
-    /// Restore them first (see `restore_quarantined_shard`).
+    /// A save needed the listed shards and they were quarantined: a
+    /// whole-engine snapshot would silently omit their state, and the
+    /// shared plan cannot be read once *every* shard is down. Restore
+    /// them first (see `restore_quarantined_shard`).
     ShardsUnavailable(Vec<usize>),
     /// A restored engine or shard failed its deep invariant
     /// verification (`self_check`); the rebuilt state was **not**
@@ -82,7 +83,7 @@ impl fmt::Display for PersistError {
             PersistError::ShardsUnavailable(shards) => {
                 write!(
                     f,
-                    "shards quarantined, snapshot would be incomplete: {shards:?}"
+                    "shards quarantined, the save would be incomplete: {shards:?}"
                 )
             }
             PersistError::Invariant(msg) => write!(f, "invariant violation: {msg}"),

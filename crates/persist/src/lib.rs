@@ -13,10 +13,10 @@
 //!   registry, literal table, free variables, and compile report, plus
 //!   the database signature, the domain size, and the dynamic flag.
 //!   Written once per compiled query; loading one skips compilation
-//!   entirely (the derived [`agq_circuit::EvalPlan`] /
-//!   [`agq_enumerate::EnumPlan`] adjacency structures are rebuilt by
-//!   one linear pass each, since they are pure functions of the
-//!   circuit) and hands every shard the same `Arc`s.
+//!   entirely (the derived [`agq_circuit::EvalPlan`] adjacency and the
+//!   [`agq_enumerate::EnumPlan`] layout over it are rebuilt linearly,
+//!   since they are pure functions of the circuit) and hands every
+//!   shard the same `Arc`s.
 //! * **`.agqsnap`** — the mutable half: per shard, the evaluator's slot
 //!   values and committed gate values and the enumeration machine's
 //!   provenance supports, captured at one LSN. Sharded snapshots are

@@ -10,12 +10,13 @@
 //! enumeration side's circuit against the point side's by *structural*
 //! equality, so an engine assembled from independently compiled halves
 //! also saves one copy; a circuit that really differs is kept, behind a
-//! one-byte tag. The derived adjacency structures
-//! ([`agq_circuit::EvalPlan`], [`agq_enumerate::EnumPlan`] — parent
-//! CSRs, cone memos, dense-run tables, perm-pool layout) are *pure
-//! functions of the circuit*, recomputed by one linear counting pass at
-//! load time; storing them would buy little and create a second source
-//! of truth the update sweeps would have to trust.
+//! one-byte tag. The derived structures are *pure functions of the
+//! circuit*, recomputed linearly at load time: **one adjacency** (the
+//! [`agq_circuit::EvalPlan`] — parent and slot tables, cone memos,
+//! dense runs — that every valuation walks) and **one enumeration
+//! layout** over it (the [`agq_enumerate::EnumPlan`] — add-segment
+//! offsets, perm-pool layout). Storing them would buy little and create
+//! a second source of truth the update sweeps would have to trust.
 
 use crate::codec::{ByteReader, ByteWriter};
 use crate::error::PersistError;
@@ -50,11 +51,12 @@ pub struct PlanBundle<S> {
 pub struct LoadedPlan<S> {
     /// The compile output.
     pub compiled: Arc<CompiledQuery<S>>,
-    /// Derived point-evaluation plan (parent CSR, cones, dense runs).
+    /// Derived adjacency and point-evaluation plan (parent and slot
+    /// tables, cones, dense runs).
     pub eval_plan: Arc<agq_circuit::EvalPlan>,
-    /// Derived enumeration plan (over `eval_plan`'s circuit, and running
-    /// its count side on `eval_plan`, unless the file carried a
-    /// differing enumeration circuit).
+    /// Derived enumeration layout — over `eval_plan` itself, unless the
+    /// file carried a differing enumeration circuit (which then gets an
+    /// adjacency of its own).
     pub enum_plan: Arc<EnumPlan>,
     /// Signature of the compiled structure.
     pub sig: Arc<Signature>,
@@ -65,9 +67,10 @@ pub struct LoadedPlan<S> {
 }
 
 impl<S> LoadedPlan<S> {
-    /// Rebuild the derived plans from a parsed bundle. Each rebuild is
-    /// one linear counting pass over the circuit — the cheap step that
-    /// stands in for the full Theorem 6 compilation at cold start.
+    /// Rebuild the derived plans from a parsed bundle: the adjacency in
+    /// two counting passes over the circuit's edges, the enumeration
+    /// layout in one pass over its gates — the cheap step that stands in
+    /// for the full Theorem 6 compilation at cold start.
     pub fn from_bundle(bundle: PlanBundle<S>) -> Self {
         let eval_plan = Arc::new(bundle.compiled.eval_plan());
         let enum_plan = if Arc::ptr_eq(&bundle.enum_circuit, &bundle.compiled.circuit) {

@@ -5,11 +5,12 @@
 //! [`RecoveryReport`], never a panic and never silently wrong answers.
 
 use agq_core::{CompileOptions, TupleUpdate};
-use agq_enumerate::EnumQueryEngine;
+use agq_enumerate::{EnumQueryEngine, ShardedEngine};
 use agq_logic::{Formula, Var};
 use agq_perm::SegTreePerm;
 use agq_persist::{
-    attach_file_wal, load_engine, recover_engine, save_engine, PersistError, FORMAT_VERSION,
+    attach_file_wal, load_engine, recover_engine, save_engine, save_sharded, save_sharded_plan,
+    PersistError, FORMAT_VERSION,
 };
 use agq_semiring::F64;
 use agq_structure::{RelId, Signature, Structure};
@@ -313,4 +314,49 @@ fn empty_wal_recovers_to_the_snapshot() {
     live.apply_update(&u).unwrap();
     rec.apply_update(&u).unwrap();
     assert_eq!(answers(&rec), answers(&live));
+}
+
+/// Every shard holds the same plan `Arc`s, so a quarantined shard must
+/// not stand between an operator and the plan file — whichever shard it
+/// is — and an engine with no healthy shard left is a typed error, not a
+/// panic crossing the API.
+#[test]
+fn plan_save_reads_any_healthy_shard_and_never_panics() {
+    // Two triangles: two Gaifman components, two shards.
+    let mut sig = Signature::new();
+    let e = sig.add_relation("E", 2);
+    let mut a = Structure::new(Arc::new(sig), 6);
+    for &(u, v) in &[(0u32, 1u32), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)] {
+        a.insert(e, &[u, v]);
+        a.insert(e, &[v, u]);
+    }
+    let a = Arc::new(a);
+    let phi = Formula::Rel(e, vec![Var(0), Var(1)]);
+    for s in 0..2usize {
+        let eng: ShardedEngine<F64, SegTreePerm<F64>> =
+            ShardedEngine::build(&a, &phi, &CompileOptions::default(), 0).expect("build");
+        assert_eq!(eng.num_shards(), 2);
+        let (plan, snap, _) = scratch("quarantined-plan");
+        save_sharded_plan(&eng, &plan).expect("healthy save");
+        let healthy = std::fs::read(&plan).unwrap();
+
+        eng.quarantine_shard(s);
+        save_sharded_plan(&eng, &plan).expect("the other shard holds the same plan");
+        assert_eq!(std::fs::read(&plan).unwrap(), healthy, "shard {s} down");
+        match save_sharded(&eng, &plan, &snap) {
+            Err(PersistError::ShardsUnavailable(down)) => assert_eq!(down, [s]),
+            other => panic!("snapshot with shard {s} down: {other:?}"),
+        }
+
+        eng.quarantine_shard(1 - s);
+        for result in [
+            save_sharded_plan(&eng, &plan),
+            save_sharded(&eng, &plan, &snap).map(|stats| stats.plan_bytes),
+        ] {
+            match result {
+                Err(PersistError::ShardsUnavailable(down)) => assert_eq!(down, [0, 1]),
+                other => panic!("no healthy shard left: {other:?}"),
+            }
+        }
+    }
 }
