@@ -1,12 +1,25 @@
-//! Circuit construction with topological invariants and zero/one pruning.
+//! Circuit construction with topological invariants, zero/one pruning and
+//! hash-consing.
 
 use crate::{ChildRange, Circuit, ConstRef, GateDef, GateId};
+use agq_semiring::fx::FxHashMap;
 
 /// Builds a [`Circuit`] gate by gate. Children must already exist, so ids
 /// are topological by construction. Trivial algebra is folded eagerly:
 /// multiplying by a known `0`/`1` constant, adding `0`s, and permanents
 /// with a structurally-zero column for some row short-circuit, which is
 /// what keeps compiled circuits linear-size under support pruning.
+///
+/// Requests are **hash-consed**: asking for a gate the builder already
+/// holds returns the existing id instead of emitting a copy. `Input(slot)`
+/// and `Lit(index)` are interned per slot / index, and `Mul` per
+/// *ordered* child pair, consulted after the 0/1 folding — `mul(a, b)`
+/// twice is one gate, `mul(b, a)` is another, so no product's child
+/// order (and no enumeration order) changes. `Add` and `Perm` are not
+/// interned: the compiler almost never repeats them. Because a request's
+/// answer depends only on the requests before it, replaying one
+/// builder's gate stream through another builder's API (the parallel
+/// compiler's merge) deduplicates across streams.
 ///
 /// Child lists are appended to one shared arena (see the crate docs on
 /// the flat IR); a finished circuit owns exactly two gate buffers no
@@ -19,6 +32,12 @@ pub struct CircuitBuilder {
     num_lits: u32,
     zero: Option<GateId>,
     one: Option<GateId>,
+    /// The `Input` gate of each slot requested so far.
+    inputs: Vec<Option<GateId>>,
+    /// The `Lit` gate of each literal index requested so far.
+    lits: Vec<Option<GateId>>,
+    /// `Mul` gates by ordered `(left, right)` child pair.
+    muls: FxHashMap<(GateId, GateId), GateId>,
 }
 
 impl CircuitBuilder {
@@ -46,7 +65,12 @@ impl CircuitBuilder {
     /// An input gate reading `slot`.
     pub fn input(&mut self, slot: u32) -> GateId {
         self.num_slots = self.num_slots.max(slot + 1);
-        self.push(GateDef::Input(slot))
+        if let Some(g) = *grow_to(&mut self.inputs, slot) {
+            return g;
+        }
+        let g = self.push(GateDef::Input(slot));
+        self.inputs[slot as usize] = Some(g);
+        g
     }
 
     /// The shared `0` constant gate.
@@ -72,7 +96,12 @@ impl CircuitBuilder {
     /// A literal-table constant gate.
     pub fn lit(&mut self, index: u32) -> GateId {
         self.num_lits = self.num_lits.max(index + 1);
-        self.push(GateDef::Const(ConstRef::Lit(index)))
+        if let Some(g) = *grow_to(&mut self.lits, index) {
+            return g;
+        }
+        let g = self.push(GateDef::Const(ConstRef::Lit(index)));
+        self.lits[index as usize] = Some(g);
+        g
     }
 
     /// Is this gate the structural zero constant?
@@ -120,7 +149,12 @@ impl CircuitBuilder {
         if self.is_one(b) {
             return a;
         }
-        self.push(GateDef::Mul(a, b))
+        if let Some(&m) = self.muls.get(&(a, b)) {
+            return m;
+        }
+        let m = self.push(GateDef::Mul(a, b));
+        self.muls.insert((a, b), m);
+        m
     }
 
     /// Product of a list of gates.
@@ -179,26 +213,13 @@ impl CircuitBuilder {
         })
     }
 
-    /// The gates built so far, in topological order (read access for
-    /// deterministic circuit merging — see agq-core's parallel compiler).
-    pub fn gates(&self) -> &[GateDef] {
-        &self.gates
-    }
-
-    /// Resolve a child range against this builder's arena (read access
-    /// for deterministic circuit merging).
-    pub fn children(&self, range: ChildRange) -> &[GateId] {
-        &self.children[range.start as usize..(range.start + range.len) as usize]
-    }
-
-    /// Number of gates built so far.
-    pub fn len(&self) -> usize {
-        self.gates.len()
-    }
-
-    /// Whether no gates were built yet.
-    pub fn is_empty(&self) -> bool {
-        self.gates.is_empty()
+    /// The gate stream and child arena built so far, without the intern
+    /// tables: what a unit compiled in a local builder keeps until it is
+    /// replayed into another builder (agq-core's parallel compiler), so a
+    /// queued unit does not hold its tables. Child ranges resolve against
+    /// the returned arena.
+    pub fn into_raw_parts(self) -> (Vec<GateDef>, Vec<GateId>) {
+        (self.gates, self.children)
     }
 
     /// Finish with the given output gate.
@@ -215,6 +236,15 @@ impl CircuitBuilder {
             output,
         }
     }
+}
+
+/// `table[index]`, growing the table with `None`s to cover it.
+fn grow_to(table: &mut Vec<Option<GateId>>, index: u32) -> &mut Option<GateId> {
+    let i = index as usize;
+    if table.len() <= i {
+        table.resize(i + 1, None);
+    }
+    &mut table[i]
 }
 
 #[cfg(test)]
@@ -278,6 +308,23 @@ mod tests {
             ref g => panic!("expected add, got {g:?}"),
         }
         assert_eq!(c.eval(&[Nat(3), Nat(4)], &[]), Nat(7));
+    }
+
+    #[test]
+    fn mul_is_interned_on_the_ordered_pair() {
+        let mut b = CircuitBuilder::new();
+        let x = b.input(0);
+        let y = b.input(1);
+        let m = b.mul(x, y);
+        assert_eq!(b.mul(x, y), m, "a repeated product is one gate");
+        let swapped = b.mul(y, x);
+        assert_ne!(swapped, m, "child order is part of the key");
+        assert_eq!(b.mul(y, x), swapped);
+        assert_eq!(b.input(1), y, "inputs are interned per slot");
+        let l = b.lit(2);
+        assert_eq!(b.lit(2), l, "literals are interned per index");
+        let (gates, _) = b.into_raw_parts();
+        assert_eq!(gates.len(), 5, "x, y, x·y, y·x, lit");
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! throughput win comes from.
 //!
 //! Permanent-entry changes are coalesced the same way: child-value
-//! changes destined for a permanent gate are buffered per sweep and
+//! changes destined for a permanent gate are buffered per sweep (chained
+//! per permanent gate, so a flush walks only its own patches) and
 //! flushed through [`PermMaint::update_batch`] when that gate pops, so a
 //! segment-tree backend repairs the union of the touched root paths once
 //! ([`agq_perm::SegTreePerm::update_batch`]) rather than per entry.
@@ -507,10 +508,9 @@ pub struct DynEvaluator<S: Semiring, P: PermMaint<S>> {
     slot_values: Vec<S>,
     /// Reused dirty queue of the update sweeps.
     dirty: DirtyQueue,
-    /// Perm-entry patches buffered during the current sweep:
-    /// `(perm index, row, col, value)`, flushed through
-    /// [`PermMaint::update_batch`] when the owning perm gate pops.
-    perm_pending: Vec<(u32, u32, u32, S)>,
+    /// Perm-entry patches buffered during the current sweep, flushed
+    /// through [`PermMaint::update_batch`] when the owning perm gate pops.
+    perm_pending: PermPatches<S>,
     /// Assembly buffer for one perm gate's flush.
     perm_flush: Vec<(usize, usize, S)>,
 }
@@ -531,13 +531,14 @@ impl<S: Semiring, P: PermMaint<S>> DynEvaluator<S, P> {
         assert_eq!(lits.len(), circuit.num_lits());
         let values = crate::eval_gates(circuit, slots, lits);
         let perms = Self::build_perms(&plan, &values);
+        let perm_pending = PermPatches::new(perms.len());
         DynEvaluator {
             plan,
             values,
             perms,
             slot_values: slots.to_vec(),
             dirty: DirtyQueue::new(),
-            perm_pending: Vec::new(),
+            perm_pending,
             perm_flush: Vec::new(),
         }
     }
@@ -590,13 +591,14 @@ impl<S: Semiring, P: PermMaint<S>> DynEvaluator<S, P> {
             return Err("saved gate-value count does not match plan");
         }
         let perms = Self::build_perms(&plan, &values);
+        let perm_pending = PermPatches::new(perms.len());
         Ok(DynEvaluator {
             plan,
             values,
             perms,
             slot_values,
             dirty: DirtyQueue::new(),
-            perm_pending: Vec::new(),
+            perm_pending,
             perm_flush: Vec::new(),
         })
     }
@@ -700,10 +702,7 @@ impl<S: Semiring, P: PermMaint<S>> DynEvaluator<S, P> {
                 self.mark_parents(g);
             }
         }
-        debug_assert!(
-            self.perm_pending.is_empty(),
-            "perm patches left unflushed after the sweep"
-        );
+        self.perm_pending.end_sweep();
     }
 
     /// Move perm gate `g`'s buffered entry patches out of `perm_pending`
@@ -713,15 +712,7 @@ impl<S: Semiring, P: PermMaint<S>> DynEvaluator<S, P> {
         let pi = self.plan.perm_index[g as usize];
         let mut buf = std::mem::take(&mut self.perm_flush);
         buf.clear();
-        let mut i = 0;
-        while i < self.perm_pending.len() {
-            if self.perm_pending[i].0 == pi {
-                let (_, r, c, v) = self.perm_pending.swap_remove(i);
-                buf.push((r as usize, c as usize, v));
-            } else {
-                i += 1;
-            }
-        }
+        self.perm_pending.take(pi, &mut buf);
         if !buf.is_empty() {
             self.perms[pi as usize].update_batch(&buf);
         }
@@ -930,7 +921,7 @@ impl<S: Semiring, P: PermMaint<S>> DynEvaluator<S, P> {
             if let ParentRef::Perm { gate, row, col } = p {
                 let v = self.values[g as usize].clone();
                 let pi = self.plan.perm_index[gate as usize];
-                self.perm_pending.push((pi, row as u32, col, v));
+                self.perm_pending.push(pi, row as u32, col, v);
             }
             self.dirty.push(p.gate());
         }
@@ -1026,10 +1017,7 @@ impl<S: Ring, P: PermMaint<S>> DynEvaluator<S, P> {
                 self.mark_parents_delta(g, &d, &mut deltas);
             }
         }
-        debug_assert!(
-            self.perm_pending.is_empty(),
-            "perm patches left unflushed after the delta sweep"
-        );
+        self.perm_pending.end_sweep();
     }
 
     /// [`DynEvaluator::mark_parents`], accumulating the child's delta
@@ -1051,11 +1039,66 @@ impl<S: Ring, P: PermMaint<S>> DynEvaluator<S, P> {
                 ParentRef::Perm { gate, row, col } => {
                     let v = self.values[g as usize].clone();
                     let pi = self.plan.perm_index[gate as usize];
-                    self.perm_pending.push((pi, row as u32, col, v));
+                    self.perm_pending.push(pi, row as u32, col, v);
                 }
             }
             self.dirty.push(p.gate());
         }
+    }
+}
+
+/// Perm-entry patches buffered by one update sweep, chained per perm
+/// gate so a flush walks exactly its own patches: `O(1)` per patch,
+/// where scanning one shared buffer on every flush grows quadratically
+/// with the batch. A child changes value at most once per sweep, so each
+/// (perm, row, col) is patched at most once and the flush order within a
+/// gate does not matter.
+struct PermPatches<S> {
+    /// Newest patch of each perm gate (dense perm index), `NO_PATCH` if
+    /// it has none.
+    heads: Vec<u32>,
+    /// `(next patch of the same gate, row, col, value)`; a value is taken
+    /// when its gate flushes.
+    patches: Vec<(u32, u32, u32, Option<S>)>,
+}
+
+const NO_PATCH: u32 = u32::MAX;
+
+impl<S> PermPatches<S> {
+    fn new(perms: usize) -> Self {
+        PermPatches {
+            heads: vec![NO_PATCH; perms],
+            patches: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, perm: u32, row: u32, col: u32, value: S) {
+        let head = &mut self.heads[perm as usize];
+        self.patches.push((*head, row, col, Some(value)));
+        *head = (self.patches.len() - 1) as u32;
+    }
+
+    /// Move perm gate `perm`'s patches into `out`.
+    fn take(&mut self, perm: u32, out: &mut Vec<(usize, usize, S)>) {
+        let mut i = std::mem::replace(&mut self.heads[perm as usize], NO_PATCH);
+        while i != NO_PATCH {
+            let (next, row, col, value) = &mut self.patches[i as usize];
+            out.push((
+                *row as usize,
+                *col as usize,
+                value.take().expect("taken once"),
+            ));
+            i = *next;
+        }
+    }
+
+    /// Forget the sweep's patches, every one of which must have been taken.
+    fn end_sweep(&mut self) {
+        debug_assert!(
+            self.patches.iter().all(|p| p.3.is_none()),
+            "perm patches left unflushed after the sweep"
+        );
+        self.patches.clear();
     }
 }
 

@@ -24,7 +24,7 @@
 //! # Evaluation
 //!
 //! * [`Circuit`]/[`CircuitBuilder`] — construction with topological-id
-//!   invariants and peephole zero/one pruning;
+//!   invariants, peephole zero/one pruning and hash-consed gates;
 //! * [`Circuit::eval`] — one-shot evaluation (streaming permanents,
 //!   `O_k(size)`);
 //! * [`DynEvaluator`] — the dynamic evaluator of Theorem 8: cached gate
@@ -78,7 +78,8 @@
 //! [`EvalPlan::add_runs`] and summarized by
 //! [`EvalPlan::dense_run_stats`]), and the id-relabeling pass
 //! [`Circuit::cluster_adds`] that the compiler applies once so exclusive
-//! children actually *are* contiguous. The bit-identity rules for when a
+//! children actually *are* contiguous (and no gate the output does not
+//! read is left to be swept). The bit-identity rules for when a
 //! sum may go through the bulk tier are documented in `eval.rs` (kernel
 //! contract) and enforced by the differential tests.
 
@@ -205,8 +206,9 @@ impl Circuit {
     /// inside the arena, every referenced gate id (children, `Mul`
     /// operands, the output) must be *smaller* than the referencing gate
     /// (topological order) and within bounds, slot/literal references
-    /// must be within the declared counts, and `Perm` column counts must
-    /// be divisible by their row count.
+    /// must be within the declared counts, `Perm` row counts must lie in
+    /// `1..=agq_perm::MAX_ROWS`, and `Perm` column counts must be
+    /// divisible by their row count.
     pub fn from_raw_parts(
         gates: Vec<GateDef>,
         children: Vec<GateId>,
@@ -248,6 +250,9 @@ impl Circuit {
                     }
                 }
                 GateDef::Perm { rows, cols } => {
+                    if rows as usize > agq_perm::MAX_ROWS {
+                        return Err("perm rows exceed MAX_ROWS");
+                    }
                     if rows == 0 || cols.len() % rows as usize != 0 {
                         return Err("perm column count not divisible by rows");
                     }
@@ -383,6 +388,28 @@ mod tests {
         let s = b.add(&[m, one]);
         let circuit = b.finish(s);
         assert_eq!(circuit.eval(&[Nat(5)], &[Nat(3)]), Nat(16));
+    }
+
+    #[test]
+    fn from_raw_parts_rejects_oversized_perms() {
+        let rows = agq_perm::MAX_ROWS as u8 + 1;
+        let gates = vec![
+            GateDef::Input(0),
+            GateDef::Perm {
+                rows,
+                cols: ChildRange::new(0, rows as u32),
+            },
+        ];
+        let children = vec![GateId(0); rows as usize];
+        let err = Circuit::from_raw_parts(gates.clone(), children.clone(), 1, 0, GateId(1));
+        assert_eq!(err.unwrap_err(), "perm rows exceed MAX_ROWS");
+        // The same matrix at the largest admissible height loads.
+        let mut ok = gates;
+        ok[1] = GateDef::Perm {
+            rows: rows - 1,
+            cols: ChildRange::new(0, rows as u32 - 1),
+        };
+        assert!(Circuit::from_raw_parts(ok, children, 1, 0, GateId(1)).is_ok());
     }
 
     #[test]

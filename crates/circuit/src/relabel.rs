@@ -1,4 +1,5 @@
-//! Gate relabeling for dense-run coverage: [`Circuit::cluster_adds`].
+//! Gate relabeling for dense-run coverage, with dead-gate elimination:
+//! [`Circuit::cluster_adds`].
 //!
 //! The vectorized evaluation tier (see `eval.rs`) turns an add gate's
 //! child gather into a `&values[lo..hi]` slice sum whenever the children
@@ -7,12 +8,16 @@
 //! after the compiler's parallel merge, an add gate's summands are
 //! typically scattered across the id space and nothing is a run.
 //!
-//! `cluster_adds` renames gate ids (nothing else: gate count, child-list
-//! orders, slot/literal numbering, and evaluation results are all
-//! preserved) so that exclusive children of a gate become consecutive
-//! ids in child-list order. The traversal is a grouped reverse-Kahn
-//! sweep: walk the DAG parents-first, and whenever a gate releases its
-//! last reference to a group of children, emit that group consecutively;
+//! `cluster_adds` keeps exactly the gates the output reads and renames
+//! them (child-list orders, slot/literal numbering, and evaluation
+//! results are all preserved) so that exclusive children of a gate
+//! become consecutive ids in child-list order. Gates the output does not
+//! reach — products the compiler emitted for a leaf no shape consumed,
+//! orphans of the builder's zero/one folding — are dropped: left in, they
+//! would sit in the parent rows of live gates and be recomputed by every
+//! sweep. The traversal is a grouped reverse-Kahn sweep from the output:
+//! walk the DAG parents-first, and whenever a gate releases its last
+//! reference to a group of children, emit that group consecutively;
 //! reversing the emission order then yields a children-first numbering in
 //! which those groups are ascending contiguous runs. Shared (fan-out > 1)
 //! children are emitted with their *last* releasing parent and split runs
@@ -27,9 +32,11 @@
 use crate::{ChildRange, Circuit, GateDef, GateId};
 
 impl Circuit {
-    /// Relabel gate ids to maximize contiguous child runs under add (and
-    /// perm) gates, preserving semantics: same gates, same child-list
-    /// orders, same evaluation results; only the numbering changes.
+    /// Drop the gates the output does not reach and relabel the rest to
+    /// maximize contiguous child runs under add (and perm) gates,
+    /// preserving semantics: same live gates, same child-list orders,
+    /// same slot and literal counts, same evaluation results. The output
+    /// gets the largest id.
     ///
     /// Intended to run once at the end of compilation. Callers holding
     /// `GateId`s into the *old* numbering must not mix them with the
@@ -40,33 +47,42 @@ impl Circuit {
             return self.clone();
         }
 
-        // Reference counts: one per occurrence in any child list.
+        // Liveness and reference counts in one descending pass: ids are
+        // topological, so every parent of `g` is decided before `g` is.
+        // Only live parents count, so dead gates never hold a child back.
+        let out = self.output.0 as usize;
+        let mut live = vec![false; n];
         let mut refs = vec![0u32; n];
-        for gate in &self.gates {
-            match gate {
+        let mut arena = 0;
+        live[out] = true;
+        for g in (0..=out).rev() {
+            if !live[g] {
+                continue;
+            }
+            let mut reference = |c: &GateId| {
+                live[c.0 as usize] = true;
+                refs[c.0 as usize] += 1;
+            };
+            match &self.gates[g] {
                 GateDef::Add(r) | GateDef::Perm { cols: r, .. } => {
-                    for c in self.children(*r) {
-                        refs[c.0 as usize] += 1;
-                    }
+                    arena += r.len();
+                    self.children(*r).iter().for_each(&mut reference)
                 }
                 GateDef::Mul(a, b) => {
-                    refs[a.0 as usize] += 1;
-                    refs[b.0 as usize] += 1;
+                    reference(a);
+                    reference(b);
                 }
                 GateDef::Input(_) | GateDef::Const(_) => {}
             }
         }
 
-        // Grouped reverse-Kahn emission, parents first. Each stack entry
-        // is a group of gates that became ready together; a group's
-        // members are emitted consecutively and therefore end up as one
-        // contiguous ascending run after the final reversal.
+        // Grouped reverse-Kahn emission, parents first, from the output
+        // alone. Each stack entry is a group of gates that became ready
+        // together; a group's members are emitted consecutively and
+        // therefore end up as one contiguous ascending run after the
+        // final reversal.
         let mut order: Vec<u32> = Vec::with_capacity(n);
-        let mut stack: Vec<Vec<u32>> = Vec::new();
-        let mut roots: Vec<u32> = (0..n as u32).filter(|&g| refs[g as usize] == 0).collect();
-        // Descending, so the output (largest root) keeps the largest id.
-        roots.sort_unstable_by(|a, b| b.cmp(a));
-        stack.push(roots);
+        let mut stack: Vec<Vec<u32>> = vec![vec![out as u32]];
 
         let mut ready: Vec<u32> = Vec::new();
         while let Some(group) = stack.pop() {
@@ -100,16 +116,22 @@ impl Circuit {
                 }
             }
         }
-        debug_assert_eq!(order.len(), n, "grouped Kahn sweep must emit every gate");
+        let m = order.len();
+        debug_assert_eq!(
+            m,
+            live.iter().filter(|&&l| l).count(),
+            "grouped Kahn sweep must emit every live gate"
+        );
 
-        // order[i] gets new id n-1-i (children-first after reversal).
+        // order[i] gets new id m-1-i (children-first after reversal);
+        // dead gates keep no id.
         let mut new_id = vec![0u32; n];
         for (i, &g) in order.iter().enumerate() {
-            new_id[g as usize] = (n - 1 - i) as u32;
+            new_id[g as usize] = (m - 1 - i) as u32;
         }
 
-        let mut gates: Vec<GateDef> = Vec::with_capacity(n);
-        let mut children: Vec<GateId> = Vec::with_capacity(self.children.len());
+        let mut gates: Vec<GateDef> = Vec::with_capacity(m);
+        let mut children: Vec<GateId> = Vec::with_capacity(arena);
         let remap = |r: &ChildRange, children: &mut Vec<GateId>| {
             let start = children.len() as u32;
             children.extend(
@@ -119,8 +141,8 @@ impl Circuit {
             );
             ChildRange { start, len: r.len }
         };
-        for i in (0..n).rev() {
-            let def = match &self.gates[order[i] as usize] {
+        for &g in order.iter().rev() {
+            let def = match &self.gates[g as usize] {
                 GateDef::Input(s) => GateDef::Input(*s),
                 GateDef::Const(c) => GateDef::Const(*c),
                 GateDef::Add(r) => GateDef::Add(remap(r, &mut children)),
@@ -140,7 +162,7 @@ impl Circuit {
             children,
             num_slots: self.num_slots,
             num_lits: self.num_lits,
-            output: GateId(new_id[self.output.0 as usize]),
+            output: GateId((m - 1) as u32),
         }
     }
 }
@@ -248,6 +270,41 @@ mod tests {
             })
             .collect();
         assert_eq!(perm_cols, vec![4]);
+    }
+
+    #[test]
+    fn dead_gates_are_dropped() {
+        let mut b = CircuitBuilder::new();
+        let x = b.input(0);
+        let y = b.input(1);
+        // An orphan chain over a slot and a literal nothing live reads.
+        let z = b.input(2);
+        let l = b.lit(0);
+        let d1 = b.mul(z, l);
+        let d2 = b.add(&[d1, x]);
+        b.mul(d2, y);
+        let s = b.add(&[x, y]);
+        let out = b.mul(s, x);
+        // A gate built after the output is dead too.
+        b.mul(out, y);
+        let c = b.finish(out);
+        let r = c.cluster_adds();
+        assert_eq!(r.len(), 4, "x, y, x+y, (x+y)·x");
+        assert_eq!(r.num_slots(), 3, "slot numbering is kept");
+        assert_eq!(r.num_lits(), 1, "literal numbering is kept");
+        assert_eq!(
+            r.output().0 as usize,
+            r.len() - 1,
+            "output has the largest id"
+        );
+        assert!(r.gates().iter().all(|g| !matches!(g, GateDef::Const(_))));
+        let slots: Vec<F64> = [0.1, 0.7, 0.3].map(F64).to_vec();
+        let lits = [F64(1.9)];
+        assert_eq!(
+            c.eval(&slots, &lits).0.to_bits(),
+            r.eval(&slots, &lits).0.to_bits()
+        );
+        assert_eq!(r.cluster_adds().len(), r.len(), "nothing left to drop");
     }
 
     #[test]

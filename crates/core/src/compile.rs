@@ -9,18 +9,28 @@
 //! * **in parallel** ([`CompileOptions::threads`]), workers instantiate
 //!   units into *local* builders with local slot registries, and a
 //!   deterministic merge replays the unit gate streams into the main
-//!   builder in color-set order, re-interning inputs and constants.
+//!   builder in color-set order, re-interning slots.
 //!
-//! The merge performs exactly the interning and peephole decisions the
-//! sequential path would, so the parallel compiler's output circuit is
-//! **byte-identical** to the sequential one (checked by the differential
-//! test suite).
+//! The builder hash-conses inputs, literals and products (see
+//! [`CircuitBuilder`]), so a gate requested twice — within a unit, or by
+//! two units — is emitted once. A unit's stream holds exactly the gates
+//! its local builder emitted, in request order; a request the local table
+//! answered was answered by the main table too when the sequential path
+//! made it, since the gate it found was replayed earlier. Replaying the
+//! stream through the main builder's API therefore makes the same
+//! interning and peephole decisions, in the same order, as the sequential
+//! path, and the parallel compiler's output circuit is **byte-identical**
+//! to the sequential one (checked by the differential test suite). The
+//! final [`Circuit::cluster_adds`] drops whatever the output does not
+//! reach — mostly products built for a leaf no shape consumed.
 
 use crate::shape::{enumerate_shapes, Shape};
 use crate::slots::{SlotKey, SlotRegistry};
 use crate::term::{expand_distinct, DistinctTerm};
 use crate::CompileError;
-use agq_circuit::{Circuit, CircuitBuilder, CircuitStats, ConstRef, EvalPlan, GateDef, GateId};
+use agq_circuit::{
+    ChildRange, Circuit, CircuitBuilder, CircuitStats, ConstRef, EvalPlan, GateDef, GateId,
+};
 use agq_graph::Graph;
 use agq_logic::{NormalForm, Var};
 use agq_semiring::Semiring;
@@ -325,7 +335,8 @@ pub fn compile_query<S: Semiring>(
     let output = add_balanced(&mut emit.builder, &top_gates);
     // Relabel once so exclusive add-gate children become contiguous id
     // runs — the dense-run tier of the evaluators sweeps those as value
-    // slices. Pure id renaming: deterministic, semantics-preserving.
+    // slices — dropping every gate the output does not reach.
+    // Deterministic and semantics-preserving.
     let circuit = emit.builder.finish(output).cluster_adds();
     report.stats = circuit.stats();
     Ok(CompiledQuery {
@@ -679,14 +690,12 @@ impl<S: Semiring> Shared<'_, S> {
     }
 }
 
-/// Mutable gate-emission state: a builder, its slot registry, and scratch
-/// buffers. The sequential path uses one; each parallel unit uses its
-/// own, merged later.
+/// Mutable gate-emission state: a builder and its slot registry. The
+/// sequential path uses one; each parallel unit uses its own, merged
+/// later.
 struct Emit {
     builder: CircuitBuilder,
     slots: SlotRegistry,
-    /// One input gate per slot.
-    input_cache: FxHashMap<u32, GateId>,
 }
 
 impl Emit {
@@ -694,18 +703,12 @@ impl Emit {
         Emit {
             builder: CircuitBuilder::new(),
             slots: SlotRegistry::new(),
-            input_cache: FxHashMap::default(),
         }
     }
 
+    /// The input gate of `key`'s slot (one per slot: the builder interns).
     fn input(&mut self, key: SlotKey) -> GateId {
-        let slot = self.slots.intern(key);
-        if let Some(&g) = self.input_cache.get(&slot) {
-            return g;
-        }
-        let g = self.builder.input(slot);
-        self.input_cache.insert(slot, g);
-        g
+        self.builder.input(self.slots.intern(key))
     }
 }
 
@@ -727,10 +730,12 @@ type LeafCells = Arc<Vec<(u32, u32)>>;
 ///   checks, cached per (guard, color) and shared across every
 ///   surjection, shape, and term of the color set.
 /// * `leaf_gates` — per compilation unit: a leaf's (position, cell gate)
-///   list per (program, color). Unit-scoped (not color-set-scoped)
-///   because gate ids are builder-local, and the parallel compiler gives
-///   every (color set, term) unit its own builder — caching wider would
-///   break the sequential/parallel byte-identity.
+///   list per (program, color). Gate ids are builder-local and the
+///   parallel compiler gives every (color set, term) unit its own
+///   builder, so the cache cannot outlive a unit; it saves rebuilding a
+///   list, not gates — the builder's intern tables catch repeated
+///   products within and across units either way, so the scope is only a
+///   choice of cache size.
 struct InstCtx {
     table: Vec<u32>,
     table_stamp: Vec<u32>,
@@ -812,13 +817,21 @@ impl InstCtx {
 }
 
 /// One term's contribution to one color set, built in a unit-local
-/// builder: its gate stream, local slot registry, and the (local ids of)
-/// its per-(surjection, shape) top gates.
+/// builder: its gate stream and child arena (the builder's intern tables
+/// are dropped before the unit is queued), local slot registry, and the
+/// (local ids of) its per-(surjection, shape) top gates.
 struct TermUnit {
     ti: usize,
-    builder: CircuitBuilder,
+    gates: Vec<GateDef>,
+    children: Vec<GateId>,
     slots: SlotRegistry,
     tops: Vec<GateId>,
+}
+
+impl TermUnit {
+    fn children(&self, r: ChildRange) -> &[GateId] {
+        &self.children[r.start() as usize..][..r.len()]
+    }
 }
 
 /// A worker's output for one color set.
@@ -891,9 +904,11 @@ fn process_dset_unit<S: Semiring>(
                 return Err(e);
             }
         };
+        let (gates, children) = emit.builder.into_raw_parts();
         out.term_units.push(TermUnit {
             ti,
-            builder: emit.builder,
+            gates,
+            children,
             slots: emit.slots,
             tops,
         });
@@ -939,17 +954,18 @@ fn instantiate_term<S: Semiring>(
 }
 
 /// Replay one unit's gate stream into the main emitter, re-interning
-/// inputs, constants, and slots. Returns the remapped top gates.
+/// slots. Returns the remapped top gates.
 ///
 /// Because a unit-local builder made exactly the peephole decisions the
 /// main builder would (structural zero/one status is preserved by the
-/// remap), replaying through the ordinary builder API appends exactly the
-/// gates the sequential compiler would have appended — this is what makes
-/// the parallel output byte-identical.
+/// remap), and the main builder's intern tables answer every request the
+/// local tables answered, replaying through the ordinary builder API
+/// appends exactly the gates the sequential compiler would have appended
+/// — this is what makes the parallel output byte-identical.
 fn merge_term_unit(emit: &mut Emit, unit: &TermUnit) -> Vec<GateId> {
-    let mut map: Vec<GateId> = Vec::with_capacity(unit.builder.len());
+    let mut map: Vec<GateId> = Vec::with_capacity(unit.gates.len());
     let mut kid_buf: Vec<GateId> = Vec::new();
-    for g in unit.builder.gates() {
+    for g in &unit.gates {
         let gid = match g {
             GateDef::Input(local_slot) => emit.input(unit.slots.key(*local_slot)),
             GateDef::Const(ConstRef::Zero) => emit.builder.zero(),
@@ -959,7 +975,7 @@ fn merge_term_unit(emit: &mut Emit, unit: &TermUnit) -> Vec<GateId> {
             }
             GateDef::Add(r) => {
                 kid_buf.clear();
-                kid_buf.extend(unit.builder.children(*r).iter().map(|c| map[c.0 as usize]));
+                kid_buf.extend(unit.children(*r).iter().map(|c| map[c.0 as usize]));
                 emit.builder.add(&kid_buf)
             }
             GateDef::Mul(x, y) => {
@@ -968,7 +984,6 @@ fn merge_term_unit(emit: &mut Emit, unit: &TermUnit) -> Vec<GateId> {
             }
             GateDef::Perm { rows, cols } => {
                 let flat: Vec<GateId> = unit
-                    .builder
                     .children(*cols)
                     .iter()
                     .map(|c| map[c.0 as usize])

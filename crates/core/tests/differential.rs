@@ -574,3 +574,100 @@ fn query_batch_ring_engine_with_interleaved_updates() {
         }
     }
 }
+
+/// The suite's formulas over one structure: closed counts and weighted
+/// sums (conjunctions, negations, disjunction with coefficients, products
+/// of aggregates, an unconstrained variable) and free-variable queries.
+fn suite_formulas(a: &Arc<Structure>) -> Vec<Expr<Nat>> {
+    let sig = a.signature().clone();
+    let e = sig.relation("E").unwrap();
+    let (wsym, usym, c) = (
+        sig.weight("w").unwrap(),
+        sig.weight("u").unwrap(),
+        sig.weight("c").unwrap(),
+    );
+    let (x, y, z) = (Var(0), Var(1), Var(2));
+    let edge = |p, q| Formula::Rel(e, vec![p, q]);
+    let triangle = edge(x, y).and(edge(y, z)).and(edge(z, x));
+    vec![
+        Expr::Bracket(edge(x, y)).sum_over([x, y]),
+        Expr::Bracket(triangle.clone()).sum_over([x, y, z]),
+        Expr::Mul(vec![
+            Expr::Bracket(triangle),
+            Expr::Weight(c, vec![x, y]),
+            Expr::Weight(c, vec![y, z]),
+            Expr::Weight(c, vec![z, x]),
+        ])
+        .sum_over([x, y, z]),
+        Expr::Mul(vec![
+            Expr::Bracket(edge(x, y).not().and(Formula::neq(x, y))),
+            Expr::Weight(wsym, vec![x]),
+            Expr::Weight(usym, vec![y]),
+        ])
+        .sum_over([x, y]),
+        Expr::Const(Nat(3))
+            .times(Expr::Bracket(edge(x, y).or(edge(y, x))).sum_over([x, y]))
+            .plus(Expr::Const(Nat(5))),
+        Expr::Weight(wsym, vec![x])
+            .sum_over([x])
+            .times(Expr::Bracket(edge(y, y)).sum_over([y])),
+        Expr::Weight(wsym, vec![x]).sum_over([x, y]),
+        Expr::Bracket(edge(x, y))
+            .times(Expr::Weight(wsym, vec![x]))
+            .sum_over([x]),
+        Expr::Bracket(edge(x, y))
+            .times(Expr::Weight(wsym, vec![x]))
+            .plus(Expr::Bracket(edge(y, x)).times(Expr::Weight(usym, vec![y]))),
+    ]
+}
+
+/// Every gate of `c` is read by the output, and none is a copy of
+/// another: no two `Mul` gates share an ordered child pair, no two
+/// `Input` gates a slot.
+fn assert_emitted_once(c: &agq_circuit::Circuit, what: &str) {
+    use agq_circuit::GateDef;
+    use std::collections::HashSet;
+    let mut live = vec![false; c.len()];
+    live[c.output().0 as usize] = true;
+    let mut muls = HashSet::new();
+    let mut slots = HashSet::new();
+    for (g, def) in c.gates().iter().enumerate().rev() {
+        assert!(live[g], "{what}: gate {g} ({def:?}) is unreachable");
+        match *def {
+            GateDef::Add(r) | GateDef::Perm { cols: r, .. } => {
+                c.children(r).iter().for_each(|k| live[k.0 as usize] = true)
+            }
+            GateDef::Mul(a, b) => {
+                live[a.0 as usize] = true;
+                live[b.0 as usize] = true;
+                assert!(muls.insert((a, b)), "{what}: duplicate product {a:?}·{b:?}");
+            }
+            GateDef::Input(s) => assert!(slots.insert(s), "{what}: two inputs read slot {s}"),
+            GateDef::Const(_) => {}
+        }
+    }
+}
+
+#[test]
+fn compiled_circuits_emit_every_gate_once() {
+    for seed in 0..2 {
+        let a = random_graph(20, 45, 950 + seed);
+        for (i, expr) in suite_formulas(&a).iter().enumerate() {
+            let nf = normalize(expr).unwrap();
+            for dynamic_atoms in [false, true] {
+                for threads in [1, 8] {
+                    let opts = CompileOptions {
+                        dynamic_atoms,
+                        threads,
+                        ..Default::default()
+                    };
+                    let compiled = compile(&a, &nf, &opts).unwrap();
+                    let what = format!(
+                        "seed {seed} formula {i} dynamic={dynamic_atoms} threads={threads}"
+                    );
+                    assert_emitted_once(&compiled.circuit, &what);
+                }
+            }
+        }
+    }
+}

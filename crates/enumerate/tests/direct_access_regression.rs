@@ -19,7 +19,12 @@
 //!    ingestion with count state live for the whole run *plus the one
 //!    flush that brings ranks current*, vs. a count-free index:
 //!    measured ≈ +3 % appends + one ~230 ms flush for 20 k updates
-//!    (≈ +50 % total at this scale), gated at +100 %. A reader after
+//!    (≈ +50 % total at this scale), gated at +100 %. Since the compiler
+//!    emits no dead or duplicate gate, both sides are smaller — on a
+//!    2-vCPU VM ingestion ≈ 120 ms and the flush ≈ 80 ms, where they read
+//!    ≈ 300 ms and ≈ 210 ms before — and the ratio reads ≈ +50…+110 %
+//!    there, as it did before (≈ +50…+100 %): near the gate, the spread
+//!    is the VM's, not rank work. A reader after
 //!    *every* batch instead re-pays each batch's full update cone
 //!    (~2.4 ms/batch, +140–170 % — the benchmark matrix reports it as
 //!    `ranked_update_ops_s` / `enumerate.rank_flush_us`; not gated here):

@@ -273,6 +273,56 @@ fn damaged_enumeration_circuit_tag_is_a_typed_error() {
 }
 
 #[test]
+fn oversized_perm_rows_are_a_typed_error() {
+    let (_live, plan, snap, _wal) = save_and_churn("rows", 1);
+    let bytes = std::fs::read(&plan).unwrap();
+    // Walk the version-2 plan body to the gate list: `dynamic u8 |
+    // domain u64 | num_slots u32 | num_lits u32 | output u32 | children
+    // u64 + 4 B each | gates u64`, then one tag byte per gate and its
+    // fields (`Perm` = tag 6, rows u8, start u32, len u32).
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let children_at = 9 + 1 + 8 + 12;
+    let gates_at = children_at + 8 + 4 * u64_at(children_at);
+    let mut at = gates_at + 8;
+    let mut last_perm = None;
+    for _ in 0..u64_at(gates_at) {
+        match bytes[at] {
+            0 | 3 => at += 5,
+            1 | 2 => at += 1,
+            4 | 5 => at += 9,
+            6 => {
+                last_perm = Some(at);
+                at += 10;
+            }
+            t => panic!("unknown gate tag {t}"),
+        }
+    }
+    // Re-shape the last perm gate into a (MAX_ROWS + 1)-row, one-column
+    // matrix over the arena entries that end its own column list: those
+    // belong to it or to earlier gates, so every other check still
+    // passes and only the row bound can refuse the plan.
+    let at = last_perm.expect("the plan has a perm gate");
+    let rows = agq_perm::MAX_ROWS + 1;
+    let end = u32_at(at + 2) + u32_at(at + 6);
+    assert!(end >= rows, "arena too short to re-shape");
+    let mut damaged = bytes.clone();
+    damaged[at + 1] = rows as u8;
+    damaged[at + 2..at + 6].copy_from_slice(&((end - rows) as u32).to_le_bytes());
+    damaged[at + 6..at + 10].copy_from_slice(&(rows as u32).to_le_bytes());
+    // Re-seal the checksum so the damage reaches the body decoder.
+    let body_end = damaged.len() - 4;
+    let crc = agq_persist::crc32::crc32(&damaged[9..body_end]);
+    damaged[body_end..].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&plan, &damaged).unwrap();
+    match load_engine::<F64, SegTreePerm<F64>>(&plan, &snap) {
+        Err(PersistError::Corrupt("perm rows exceed MAX_ROWS")) => {}
+        Err(other) => panic!("expected Corrupt(perm rows), got {other:?}"),
+        Ok(_) => panic!("expected Corrupt(perm rows), got a loaded engine"),
+    }
+}
+
+#[test]
 fn carrier_mismatch_is_a_clean_error() {
     use agq_circuit::RingMaint;
     use agq_semiring::Int;

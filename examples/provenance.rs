@@ -38,7 +38,11 @@ fn main() {
     .unwrap();
     println!("Example 21 — provenance of the triangle query at node a:");
     let mut it = ix.enumerate_at(&[0]);
+    let mut monomials: Vec<Vec<u64>> = Vec::new();
     while let Some(m) = it.next() {
+        let mut ids: Vec<u64> = m.iter().map(|g| g.0).collect();
+        ids.sort_unstable();
+        monomials.push(ids);
         let pretty: Vec<String> = m
             .iter()
             .map(|g| {
@@ -53,6 +57,14 @@ fn main() {
         println!("  {}", pretty.join("·"));
     }
     drop(it);
+    // Free-semiring exactness: each triangle through a once — a wrongly
+    // shared product would drop or repeat a monomial.
+    monomials.sort();
+    assert_eq!(
+        monomials,
+        [[1, 12, 20], [1, 13, 30]],
+        "Example 21 at a is e_ab·e_bc·e_ca + e_ab·e_bd·e_da"
+    );
 
     // Scale: a larger sparse graph. The full provenance polynomial would
     // have one term per triangle; we only pay for the terms we look at.
@@ -101,6 +113,15 @@ fn main() {
             break; // demonstrate laziness: stop early at no cost
         }
     }
+    // One monomial per directed triangle: brute force over the graph.
+    let triangles: u64 = (0..n as u32)
+        .flat_map(|x| g.neighbors(x).iter().map(move |&y| (x, y)))
+        .map(|(x, y)| g.neighbors(y).iter().filter(|&&z| g.has_edge(z, x)).count() as u64)
+        .sum();
+    assert_eq!(
+        total, triangles,
+        "one provenance monomial per directed triangle"
+    );
     println!(
         "walked {total} provenance monomials in {:?} (max single delay {:?})",
         t0.elapsed(),
