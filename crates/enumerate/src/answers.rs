@@ -413,8 +413,8 @@ impl AnswerIndex {
     }
 
     /// Invariant verification for recovery and quarantine-restore paths:
-    /// [`EnumMachine::self_check`] (support shadow, add-support
-    /// prefixes, perm-pool bucket links — all against the plan) plus
+    /// [`EnumMachine::self_check`] (support shadow, add-gate live bits,
+    /// perm-pool bucket links — all against the plan) plus
     /// slot/count consistency — the incrementally maintained summand
     /// count must agree with a fresh ℕ evaluation of the circuit over
     /// the current inputs. Linear time; not for the serving path.

@@ -1,7 +1,7 @@
 //! Bidirectional constant-delay cursors over gate values in the free
 //! semiring (Lemma 23 for permanent gates).
 
-use crate::machine::{CountState, EnumMachine, PermSupport};
+use crate::machine::{next_set, prev_set, CountState, EnumMachine, PermSupport};
 use agq_circuit::{ConstRef, GateDef, GateId};
 use agq_perm::support::sdr_exists_rows;
 use agq_semiring::{Gen, Nat};
@@ -25,13 +25,13 @@ pub enum Cursor {
     },
     /// The single summand `1` of a `Const(One)` gate.
     One,
-    /// A summand of an addition gate: inside the `nz_idx`-th supported
-    /// child.
+    /// A summand of an addition gate: inside the supported child at
+    /// position `pos`. Live children are walked in ascending position.
     Add {
         /// The gate.
         gate: u32,
-        /// Index into the gate's live supported-children list.
-        nz_idx: usize,
+        /// Position of the current child in the gate's child list.
+        pos: u32,
         /// Cursor within that child.
         inner: Box<Cursor>,
     },
@@ -128,13 +128,13 @@ impl EnumMachine {
             }
             GateDef::Const(ConstRef::One) => Cursor::One,
             GateDef::Const(_) => unreachable!("unsupported const"),
-            GateDef::Add(children) => {
-                let nz = self.add_nz(gate.0);
-                let nz_idx = if dir == Dir::Fwd { 0 } else { nz.len() - 1 };
-                let child = self.circuit().children(*children)[nz[nz_idx] as usize];
+            GateDef::Add(_) => {
+                let (pos, child) = self
+                    .live_child(gate.0, None, dir)
+                    .expect("supported add gate");
                 Cursor::Add {
                     gate: gate.0,
-                    nz_idx,
+                    pos,
                     inner: Box::new(self.boundary(child, dir).expect("supported child")),
                 }
             }
@@ -182,6 +182,24 @@ impl EnumMachine {
         }];
         rows.extend(rest?);
         Some(rows)
+    }
+
+    /// The live child of add gate `gate` nearest in `dir` strictly past
+    /// position `after`, or at the boundary when `after` is `None`: one
+    /// word scan of the gate's live bits.
+    fn live_child(&self, gate: u32, after: Option<u32>, dir: Dir) -> Option<(u32, GateId)> {
+        let GateDef::Add(children) = &self.circuit().gates()[gate as usize] else {
+            unreachable!("add gate")
+        };
+        let kids = self.circuit().children(*children);
+        let live = self.add_live(gate);
+        let pos = match (dir, after) {
+            (Dir::Fwd, None) => next_set(live, 0),
+            (Dir::Fwd, Some(p)) => next_set(live, p as usize + 1),
+            (Dir::Bwd, None) => prev_set(live, kids.len()),
+            (Dir::Bwd, Some(p)) => prev_set(live, p as usize),
+        }?;
+        Some((pos as u32, kids[pos]))
     }
 
     fn entry_gate(&self, gate: u32, row: usize, col: u32) -> GateId {
@@ -300,36 +318,14 @@ impl EnumMachine {
                 }
             }
             Cursor::One => false,
-            Cursor::Add {
-                gate,
-                nz_idx,
-                inner,
-            } => {
+            Cursor::Add { gate, pos, inner } => {
                 if self.step(inner, dir) {
                     return true;
                 }
-                let gi = *gate as usize;
-                let nz = self.add_nz(*gate);
-                let next = match dir {
-                    Dir::Fwd => {
-                        if *nz_idx + 1 >= nz.len() {
-                            return false;
-                        }
-                        *nz_idx + 1
-                    }
-                    Dir::Bwd => {
-                        if *nz_idx == 0 {
-                            return false;
-                        }
-                        *nz_idx - 1
-                    }
+                let Some((next, child)) = self.live_child(*gate, Some(*pos), dir) else {
+                    return false;
                 };
-                let children = match &self.circuit().gates()[gi] {
-                    GateDef::Add(ch) => self.circuit().children(*ch),
-                    _ => unreachable!(),
-                };
-                let child = children[nz[next] as usize];
-                *nz_idx = next;
+                *pos = next;
                 **inner = self.boundary(child, dir).expect("supported child");
                 true
             }
@@ -449,19 +445,11 @@ impl EnumMachine {
                 };
             }
             Cursor::One => {}
-            Cursor::Add {
-                gate,
-                nz_idx,
-                inner,
-            } => {
-                let gi = *gate as usize;
-                let nz = self.add_nz(*gate);
-                *nz_idx = if dir == Dir::Fwd { 0 } else { nz.len() - 1 };
-                let children = match &self.circuit().gates()[gi] {
-                    GateDef::Add(ch) => self.circuit().children(*ch),
-                    _ => unreachable!(),
-                };
-                let child = children[nz[*nz_idx] as usize];
+            Cursor::Add { gate, pos, inner } => {
+                let (first, child) = self
+                    .live_child(*gate, None, dir)
+                    .expect("supported add gate");
+                *pos = first;
                 **inner = self.boundary(child, dir).expect("supported");
             }
             Cursor::Mul { left, right } => {
@@ -505,9 +493,10 @@ impl EnumMachine {
     /// The descent mirrors the cursor's step order exactly, most
     /// significant first:
     ///
-    /// * **Add** — children concatenate in live `nz` order; narrow
-    ///   gates walk the prefix counts, wide gates binary-search the
-    ///   cached prefix-sum table ([`CountState::add_prefix_for`]) so the
+    /// * **Add** — children concatenate in ascending position, an
+    ///   unsupported child contributing its count 0; narrow gates walk
+    ///   the child counts, wide gates binary-search the cached
+    ///   prefix-sum table ([`CountState::add_prefix_for`]) so the
     ///   descent never scans a data-sized fan-in.
     /// * **Mul** — the right factor is least significant (`step` advances
     ///   it first), so `k = l·|right| + r` splits by div/mod.
@@ -545,12 +534,11 @@ impl EnumMachine {
             GateDef::Const(ConstRef::One) => (k == 0).then_some(Cursor::One),
             GateDef::Const(_) => unreachable!("unsupported const"),
             GateDef::Add(children) => {
-                let nz = self.add_nz(gate.0);
                 let kids = self.circuit().children(*children);
-                let (nz_idx, rem) = if nz.len() >= ADD_PREFIX_MIN {
+                let (pos, rem) = if kids.len() >= ADD_PREFIX_MIN {
                     // data-sized fan-in: binary search the cached
                     // prefix-sum table instead of scanning
-                    let prefix = st.add_prefix_for(gate.0, nz, kids);
+                    let prefix = st.add_prefix_for(gate.0);
                     let i = prefix.partition_point(|&c| c <= k);
                     if i == prefix.len() {
                         return None;
@@ -560,21 +548,20 @@ impl EnumMachine {
                 } else {
                     let mut k = k;
                     let mut found = None;
-                    for (i, &pos) in nz.iter().enumerate() {
-                        let c = st.eval().value(kids[pos as usize]).0;
+                    for (p, &child) in kids.iter().enumerate() {
+                        let c = st.eval().value(child).0;
                         if k < c {
-                            found = Some((i, k));
+                            found = Some((p, k));
                             break;
                         }
                         k -= c;
                     }
                     found?
                 };
-                let child = kids[nz[nz_idx] as usize];
                 Some(Cursor::Add {
                     gate: gate.0,
-                    nz_idx,
-                    inner: Box::new(self.seek_gate(st, child, rem, visits)?),
+                    pos: pos as u32,
+                    inner: Box::new(self.seek_gate(st, kids[pos], rem, visits)?),
                 })
             }
             GateDef::Mul(a, b) => {
@@ -1067,6 +1054,65 @@ mod tests {
         assert_enumerates_exactly(&machine);
         machine.set_input(2, gens(&[42, 43]));
         assert_enumerates_exactly(&machine);
+    }
+
+    /// Answer order at an add gate is a function of the state: two
+    /// machines driven to the same inputs through different removals and
+    /// re-additions of children 0, 63, 64, 127 and 129 of a fan-in-130
+    /// sum (three live-set words) enumerate, walk back and seek alike.
+    #[test]
+    fn add_order_is_a_function_of_the_state() {
+        let mut b = CircuitBuilder::new();
+        let xs: Vec<_> = (0..130).map(|i| b.input(i)).collect();
+        let s = b.add(&xs);
+        let y = b.input(130);
+        let out = b.mul(s, y);
+        let c = Arc::new(b.finish(out));
+        let val = |slot: u32| match slot {
+            130 => gens(&[500, 501]),
+            i if i % 3 == 0 => gens(&[i as u64, 1000 + i as u64]),
+            i => gens(&[i as u64]),
+        };
+        let init: Vec<InputVal> = (0..131).map(val).collect();
+        let mut a = EnumMachine::new(c.clone(), init.clone());
+        let mut bm = EnumMachine::new(c, init);
+        for slot in [0, 63, 64, 127, 129] {
+            a.set_input(slot, vec![]);
+        }
+        for slot in [129, 0, 64, 63, 127] {
+            a.set_input(slot, val(slot));
+        }
+        for (slot, on) in [
+            (127, false),
+            (127, true),
+            (64, false),
+            (0, false),
+            (0, true),
+            (129, false),
+            (63, false),
+            (64, true),
+            (63, true),
+            (129, true),
+        ] {
+            bm.set_input(slot, if on { val(slot) } else { vec![] });
+        }
+        let walk = |m: &EnumMachine| {
+            let mut it = m.summands();
+            let fwd: Vec<_> = std::iter::from_fn(|| it.next()).collect();
+            let mut bwd: Vec<_> = std::iter::from_fn(|| it.prev()).collect();
+            bwd.reverse();
+            (fwd, bwd)
+        };
+        let (fwd, bwd) = walk(&a);
+        assert_eq!(fwd.len(), (130 + 44) * 2);
+        assert_eq!(fwd, bwd);
+        assert_eq!(walk(&bm), (fwd.clone(), bwd));
+        for k in 0..=fwd.len() as u64 {
+            assert_eq!(a.summands().seek(k), bm.summands().seek(k), "seek({k})");
+            assert_eq!(a.summands().seek(k).as_ref(), fwd.get(k as usize));
+        }
+        assert_eq!(a.self_check(), Ok(()));
+        assert_eq!(bm.self_check(), Ok(()));
     }
 
     #[test]

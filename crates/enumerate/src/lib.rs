@@ -24,19 +24,20 @@
 //! immutable, `Send + Sync` **plan** ([`machine::EnumPlan`]) and a cheap
 //! mutable **state**, mirroring `agq_circuit::EvalPlan`/`DynEvaluator`:
 //!
-//! * the plan is the enumeration layout — the dense `add_index`
-//!   numbering, the per-add-gate segment offsets, and the permanent pool
-//!   layout — over an `Arc<agq_circuit::EvalPlan>`, which holds the
-//!   circuit's adjacency (parent references, per-slot input-gate lists,
-//!   perm numbering, dense runs) once for every valuation: in an engine
-//!   it is the very plan the point queries and the count side run on.
+//! * the plan is the enumeration layout — where each add gate's
+//!   live-set words start, and the permanent pool layout — over an
+//!   `Arc<agq_circuit::EvalPlan>`, which holds the circuit's adjacency
+//!   (parent references, per-slot input-gate lists, perm numbering,
+//!   dense runs) once for every valuation: in an engine it is the very
+//!   plan the point queries and the count side run on.
 //!   One `Arc<EnumPlan>` backs any number of machine states
 //!   ([`machine::EnumMachine::from_plan`]);
 //! * the state owns only mutable buffers: input summand lists, the
-//!   support shadow, the live supported-children segments
-//!   (`machine::AddSupports` — each add gate owns a fixed-capacity
-//!   segment sized by its fan-in, membership flips are in-place
-//!   swap-removes), and the pooled Lemma 39 permanent structure
+//!   support shadow, the add gates' live-child bitmasks (one bit per
+//!   child position, `⌈fan-in / 64⌉` words per gate in one shared
+//!   buffer; a support flip is one bit write, and cursors walk live
+//!   children in ascending position, so the order at add gates is a
+//!   function of the state), and the pooled Lemma 39 permanent structure
 //!   (`machine::PermPool` — per-column masks plus doubly-linked
 //!   mask-bucket lists threaded through flat arrays, with per-bucket
 //!   head/tail/count arrays; a support flip is an O(1) splice). No
@@ -45,10 +46,10 @@
 //!   [`agq_circuit::DirtyQueue`], the schedule of every sweep in the
 //!   stack — is reused).
 //!
-//! The cursor layer ([`cursor`]) walks the bucket lists through the
-//! pooled links and keeps its Hall-condition scratch on the stack, so
-//! steady-state enumeration (advance/retreat) performs no heap
-//! allocation beyond the answer tuples it returns.
+//! The cursor layer ([`cursor`]) scans add gates' live bits, walks the
+//! bucket lists through the pooled links, and keeps its Hall-condition
+//! scratch on the stack, so steady-state enumeration (advance/retreat)
+//! performs no heap allocation beyond the answer tuples it returns.
 //!
 //! # Shard routing
 //!

@@ -9,31 +9,35 @@
 //! numbering, the dense-run table — is the one the point and count
 //! valuations walk, held once by an [`agq_circuit::EvalPlan`]. The
 //! immutable, `Send + Sync` [`EnumPlan`] adds only the **enumeration
-//! layout** on top of an `Arc<EvalPlan>`: the dense add-gate numbering
-//! with per-add-gate segment offsets, and the per-perm-gate pool layout.
-//! The [`EnumMachine`] is the mutable state half: input summand lists,
-//! the Boolean support shadow, the live supported-children segments, and
-//! the pooled permanent support structure. One `Arc<EnumPlan>` backs any
-//! number of machine states ([`EnumMachine::from_plan`]) — the per-shard
-//! answer indexes of a sharded engine share one plan, and through it the
-//! engine's one `EvalPlan`.
+//! layout** on top of an `Arc<EvalPlan>`: where each add gate's live-set
+//! words start, and the per-perm-gate pool layout. The [`EnumMachine`]
+//! is the mutable state half: input summand lists, the Boolean support
+//! shadow, the add gates' live-child bitmasks, and the pooled permanent
+//! support structure. One `Arc<EnumPlan>` backs any number of machine
+//! states ([`EnumMachine::from_plan`]) — the per-shard answer indexes of
+//! a sharded engine share one plan, and through it the engine's one
+//! `EvalPlan`.
 //!
 //! # Flat layout
 //!
-//! Addition gates' live supported-children lists are flattened into one
-//! shared buffer (`AddSupports`): every add gate owns a fixed-capacity
-//! segment sized by its fan-in, so membership updates are in-place
-//! swap-removes with no per-gate allocation. The Lemma 39 permanent
-//! support structure is likewise pooled (`PermPool`): per-column masks
-//! and doubly-linked bucket lists live in arrays sized by the total
-//! column count over all permanent gates, and per-mask bucket
-//! heads/tails/counts in arrays sized by the total bucket count — moving
-//! a column between buckets is an O(1) splice in flat memory, with no
-//! per-gate, per-mask `Vec`s anywhere.
+//! Every addition gate owns `⌈fan-in / 64⌉` words of one shared bitmask
+//! buffer, one bit per child position: the bit is set iff that child is
+//! supported. A support flip is one bit write, and a cursor walks the
+//! live children in ascending child position by word scans — so the
+//! order at add gates is a function of the current state, not of the
+//! update history. The compiler caps fan-in at 64, so a compiled add
+//! gate owns exactly one word.
+//!
+//! The Lemma 39 permanent support structure is pooled (`PermPool`):
+//! per-column masks and doubly-linked bucket lists live in arrays sized
+//! by the total column count over all permanent gates, and per-mask
+//! bucket heads/tails/counts in arrays sized by the total bucket count —
+//! moving a column between buckets is an O(1) splice in flat memory,
+//! with no per-gate, per-mask `Vec`s anywhere. A splice appends at the
+//! bucket tail, so the column order within a bucket is the one piece of
+//! update history the machine keeps ([`MachineStateDump::perm_order`]).
 
-use agq_circuit::{
-    Circuit, ConstRef, DirtyQueue, EvalPlan, GateDef, GateId, GeneralEvaluator, ParentRef,
-};
+use agq_circuit::{Circuit, ConstRef, DirtyQueue, EvalPlan, GateDef, GeneralEvaluator, ParentRef};
 use agq_perm::support::sdr_exists;
 use agq_semiring::{Gen, Nat};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -43,9 +47,41 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// `0`; a single empty monomial is `1`.
 pub type InputVal = Vec<Vec<Gen>>;
 
-/// Sentinel for "gate has no entry in this dense side table", and for
-/// "no neighbor" in the pooled bucket lists.
+/// Sentinel for "no neighbor" in the pooled bucket lists.
 const NO_IDX: u32 = u32::MAX;
+
+/// Set or clear bit `at` of a word buffer.
+fn set_bit(words: &mut [u64], at: usize, on: bool) {
+    let bit = 1u64 << (at % 64);
+    if on {
+        words[at / 64] |= bit;
+    } else {
+        words[at / 64] &= !bit;
+    }
+}
+
+/// The first set bit at or after `from`, if any.
+pub(crate) fn next_set(words: &[u64], from: usize) -> Option<usize> {
+    let mut w = from / 64;
+    let mut word = words.get(w)? & (!0u64 << (from % 64));
+    while word == 0 {
+        w += 1;
+        word = *words.get(w)?;
+    }
+    Some(w * 64 + word.trailing_zeros() as usize)
+}
+
+/// The last set bit strictly before `end`, if any.
+pub(crate) fn prev_set(words: &[u64], end: usize) -> Option<usize> {
+    let last = end.min(words.len() * 64).checked_sub(1)?;
+    let mut w = last / 64;
+    let mut word = words[w] & (!0u64 >> (63 - last % 64));
+    while word == 0 {
+        w = w.checked_sub(1)?;
+        word = words[w];
+    }
+    Some(w * 64 + 63 - word.leading_zeros() as usize)
+}
 
 /// Static layout of one permanent gate's slice of the [`PermPool`].
 #[derive(Clone, Copy, Debug)]
@@ -142,6 +178,20 @@ impl PermPool {
             self.push_bucket(meta, new, col as u32);
         }
     }
+
+    /// Re-thread one gate's buckets so its columns appear in `order` (a
+    /// permutation of its local columns), keeping every column's mask.
+    fn rethread(&mut self, meta: PermMeta, order: &[u32]) {
+        let bb = meta.bucket_base as usize;
+        let buckets = bb..bb + (1usize << meta.k);
+        self.heads[buckets.clone()].fill(NO_IDX);
+        self.tails[buckets.clone()].fill(NO_IDX);
+        self.counts[buckets].fill(0);
+        for &col in order {
+            let mask = self.col_mask[meta.col_base as usize + col as usize];
+            self.push_bucket(meta, mask, col);
+        }
+    }
 }
 
 /// Read view of one permanent gate's support structure: the Lemma 39
@@ -228,9 +278,9 @@ pub(crate) struct CountState {
     /// Bumped on every flush (and rebuild) — invalidates the cached
     /// prefix-sum tables below.
     count_version: u64,
-    /// Per-`Add`-gate prefix sums of live-child counts in `nz` order,
-    /// built lazily for wide gates so rank descent binary-searches the
-    /// owning child instead of scanning a data-sized fan-in (the
+    /// Per-`Add`-gate prefix sums of child counts in child-position
+    /// order, built lazily for wide gates so rank descent binary-searches
+    /// the owning child instead of scanning a data-sized fan-in (the
     /// `Add`-gate "prefix-sum table" of direct access). Stale entries
     /// (older `version`) are rebuilt on touch.
     add_prefix: std::collections::HashMap<u32, AddPrefix, agq_core::FxBuildHasher>,
@@ -239,7 +289,8 @@ pub(crate) struct CountState {
 /// One cached `Add`-gate prefix table (see [`CountState::add_prefix`]).
 struct AddPrefix {
     version: u64,
-    /// `prefix[i]` = Σ counts of `nz[0..=i]` children (wrapping).
+    /// `prefix[p]` = Σ counts of the children at positions `0..=p`
+    /// (wrapping).
     prefix: Vec<u64>,
 }
 
@@ -250,41 +301,26 @@ impl CountState {
         self.eval.as_ref().expect("built by counts()")
     }
 
-    /// The prefix-sum table of add gate `gate` over its live children
-    /// `nz` (positions into `kids`), rebuilt if an update flush happened
-    /// since it was cached.
-    pub(crate) fn add_prefix_for(&mut self, gate: u32, nz: &[u32], kids: &[GateId]) -> &[u64] {
+    /// The prefix-sum table of add gate `gate` over all its children in
+    /// position order, rebuilt if an update flush happened since it was
+    /// cached. An unsupported child counts 0, so it never owns a rank.
+    /// The table is a prefix scan of the count values, run by run off
+    /// the plan's dense-run table, so it reads contiguous value slices.
+    pub(crate) fn add_prefix_for(&mut self, gate: u32) -> &[u64] {
         let version = self.count_version;
         let eval = self.eval.as_ref().expect("built by counts()");
         let entry = self.add_prefix.entry(gate).or_insert(AddPrefix {
             version: u64::MAX,
             prefix: Vec::new(),
         });
-        if entry.version != version || entry.prefix.len() != nz.len() {
+        if entry.version != version {
             entry.prefix.clear();
             let mut acc = 0u64;
-            // Dense fast path: when every child is live in position order
-            // (the steady state of a fully-populated add gate) and the
-            // children are one contiguous id run (the compiler's
-            // `cluster_adds` layout, read off the plan's dense-run
-            // table), the rank table is a prefix scan of one value slice
-            // — sequential loads instead of a per-child `kids[pos]` →
-            // `value()` double indirection. Support churn that permutes
-            // `nz` falls back to the gather, which defines the
-            // enumeration order either way.
-            let dense = nz.len() == kids.len()
-                && matches!(eval.plan().add_runs(gate), [_])
-                && nz.iter().enumerate().all(|(i, &p)| p as usize == i);
-            if dense {
-                let lo = kids[0].0 as usize;
-                let vals = &eval.gate_values()[lo..lo + kids.len()];
-                entry.prefix.extend(vals.iter().map(|v| {
+            let vals = eval.gate_values();
+            for &(lo, len) in eval.plan().add_runs(gate) {
+                let run = &vals[lo as usize..(lo + len) as usize];
+                entry.prefix.extend(run.iter().map(|v| {
                     acc = acc.wrapping_add(v.0);
-                    acc
-                }));
-            } else {
-                entry.prefix.extend(nz.iter().map(|&pos| {
-                    acc = acc.wrapping_add(eval.value(kids[pos as usize]).0);
                     acc
                 }));
             }
@@ -294,59 +330,9 @@ impl CountState {
     }
 }
 
-/// Live supported-children lists of every addition gate, flattened: add
-/// gate `ai` (dense index) owns the segment
-/// `offsets[ai]..offsets[ai+1]` (offsets live in the shared plan) of
-/// both `nz` and `where_pos`; its first `len[ai]` `nz` entries are the
-/// supported child positions in enumeration order, and
-/// `where_pos[child position]` is the index in that prefix (or
-/// `u32::MAX`). Two flat buffers for the whole circuit.
-#[derive(Debug)]
-pub(crate) struct AddSupports {
-    len: Vec<u32>,
-    nz: Vec<u32>,
-    where_pos: Vec<u32>,
-}
-
-impl AddSupports {
-    fn with_layout(num_adds: usize, total: usize) -> Self {
-        AddSupports {
-            len: vec![0; num_adds],
-            nz: vec![0; total],
-            where_pos: vec![u32::MAX; total],
-        }
-    }
-
-    /// Supported child positions of add gate `ai`, in enumeration order.
-    pub fn nz(&self, offsets: &[u32], ai: usize) -> &[u32] {
-        let start = offsets[ai] as usize;
-        &self.nz[start..start + self.len[ai] as usize]
-    }
-
-    fn set(&mut self, offsets: &[u32], ai: usize, child_pos: usize, supported: bool) {
-        let start = offsets[ai] as usize;
-        let n = self.len[ai] as usize;
-        let cur = self.where_pos[start + child_pos];
-        if supported && cur == u32::MAX {
-            self.where_pos[start + child_pos] = n as u32;
-            self.nz[start + n] = child_pos as u32;
-            self.len[ai] += 1;
-        } else if !supported && cur != u32::MAX {
-            let p = cur as usize;
-            let last = self.nz[start + n - 1];
-            self.nz[start + p] = last;
-            self.len[ai] -= 1;
-            if last as usize != child_pos {
-                self.where_pos[start + last as usize] = p as u32;
-            }
-            self.where_pos[start + child_pos] = u32::MAX;
-        }
-    }
-}
-
 /// The immutable half of the enumeration machine: the enumeration layout
-/// — dense add numbering with segment offsets, perm pool layout — over
-/// the [`EvalPlan`] that holds the circuit's adjacency. `Send + Sync`;
+/// — add-gate live-set word offsets, perm pool layout — over the
+/// [`EvalPlan`] that holds the circuit's adjacency. `Send + Sync`;
 /// shared by every state over the same circuit.
 pub struct EnumPlan {
     /// `eval_plan`'s circuit, held directly: the cursors resolve it on
@@ -355,11 +341,10 @@ pub struct EnumPlan {
     /// Adjacency of the circuit, and the plan the ℕ count side runs on:
     /// in an engine, the very `EvalPlan` the point queries use.
     eval_plan: Arc<EvalPlan>,
-    /// Gate id → dense add index (`NO_IDX` for non-add gates).
-    add_index: Vec<u32>,
-    /// Dense add index → start of its [`AddSupports`] segment
-    /// (`add_offsets[num_adds]` is the total).
-    add_offsets: Vec<u32>,
+    /// Gate `g`'s live-child bitmask is words
+    /// `add_words[g]..add_words[g + 1]` of the machine's buffer:
+    /// `⌈fan-in / 64⌉` words for an add gate, none for any other gate.
+    add_words: Vec<u32>,
     /// Pool layout of each perm gate, by [`EvalPlan::perm_index`].
     perm_meta: Vec<PermMeta>,
     total_cols: usize,
@@ -387,18 +372,14 @@ impl EnumPlan {
             0,
             "enumeration circuits must not use literal constants"
         );
-        let mut add_index = vec![NO_IDX; circuit.len()];
-        let mut add_offsets: Vec<u32> = vec![0];
+        let mut add_words = Vec::with_capacity(circuit.len() + 1);
+        add_words.push(0u32);
         let mut perm_meta: Vec<PermMeta> = Vec::new();
         let mut total_cols = 0usize;
         let mut total_buckets = 0usize;
-        for (i, g) in circuit.gates().iter().enumerate() {
-            match g {
-                GateDef::Add(r) => {
-                    add_index[i] = (add_offsets.len() - 1) as u32;
-                    let last = *add_offsets.last().expect("nonempty");
-                    add_offsets.push(last + r.len() as u32);
-                }
+        for g in circuit.gates() {
+            let words = match g {
+                GateDef::Add(r) => r.len().div_ceil(64),
                 GateDef::Perm { rows, cols } => {
                     perm_meta.push(PermMeta {
                         k: *rows,
@@ -407,15 +388,16 @@ impl EnumPlan {
                     });
                     total_cols += cols.len() / *rows as usize;
                     total_buckets += 1 << *rows;
+                    0
                 }
-                GateDef::Input(_) | GateDef::Const(_) | GateDef::Mul(..) => {}
-            }
+                GateDef::Input(_) | GateDef::Const(_) | GateDef::Mul(..) => 0,
+            };
+            add_words.push(add_words.last().expect("nonempty") + words as u32);
         }
         EnumPlan {
             circuit,
             eval_plan,
-            add_index,
-            add_offsets,
+            add_words,
             perm_meta,
             total_cols,
             total_buckets,
@@ -438,21 +420,38 @@ impl EnumPlan {
         let pi = self.eval_plan.perm_index(gate).expect("a permanent gate");
         self.perm_meta[pi as usize]
     }
+
+    /// Each permanent gate's pool layout and column count, in gate order.
+    fn perm_gates(&self) -> impl Iterator<Item = (PermMeta, usize)> + '_ {
+        let ends = self
+            .perm_meta
+            .iter()
+            .skip(1)
+            .map(|m| m.col_base as usize)
+            .chain([self.total_cols]);
+        self.perm_meta
+            .iter()
+            .zip(ends)
+            .map(|(&m, end)| (m, end - m.col_base as usize))
+    }
 }
 
 /// The enumeration state of a circuit over the free semiring: per-slot
-/// input summand lists, a Boolean support shadow of every gate, and the
-/// pooled Lemma 39 structures at permanent gates. Input updates propagate
-/// in time proportional to the (query-bounded) number of affected gates,
-/// with no allocation on the update path (the adjacency is immutable in
-/// the shared plan, the dirty queue is reused).
+/// input summand lists, a Boolean support shadow of every gate, the add
+/// gates' live-child bitmasks, and the pooled Lemma 39 structures at
+/// permanent gates. Input updates propagate in time proportional to the
+/// (query-bounded) number of affected gates, with no allocation on the
+/// update path (the adjacency is immutable in the shared plan, the dirty
+/// queue is reused).
 pub struct EnumMachine {
     plan: Arc<EnumPlan>,
     /// Summand lists per input slot.
     input_vals: Vec<InputVal>,
     /// Boolean support per gate.
     pub(crate) support: Vec<bool>,
-    add_sup: AddSupports,
+    /// Live-child bitmasks of every add gate (layout:
+    /// [`EnumPlan::add_words`]).
+    add_bits: Vec<u64>,
     perms: PermPool,
     /// Reused dirty queue (drained after every update).
     dirty: DirtyQueue,
@@ -473,35 +472,19 @@ pub struct EnumMachine {
     counts: Mutex<CountState>,
 }
 
-/// A flat, self-contained dump of an [`EnumMachine`]'s mutable state —
-/// what `agq-persist` snapshots per shard. Includes the
-/// history-dependent orderings (add-support prefixes, perm-pool bucket
-/// links), not just the input values, so a restored machine enumerates
-/// in exactly the order the live one did.
+/// What `agq-persist` snapshots of an [`EnumMachine`] per shard: the
+/// input values, from which everything else is recomputed, plus the one
+/// piece of update history the machine keeps — the column order inside
+/// each permanent gate's mask buckets — so a restored machine
+/// enumerates in exactly the order the live one did.
 #[derive(Clone, Debug)]
 pub struct MachineStateDump {
     /// Summand lists per input slot.
     pub input_vals: Vec<InputVal>,
-    /// Boolean support per gate.
-    pub support: Vec<bool>,
-    /// Per-add-gate supported-prefix lengths.
-    pub add_len: Vec<u32>,
-    /// Supported child positions (first `add_len[ai]` of each segment).
-    pub add_nz: Vec<u32>,
-    /// Child position → index in the supported prefix (`u32::MAX` none).
-    pub add_where: Vec<u32>,
-    /// Perm pool: per-column support mask.
-    pub perm_mask: Vec<u32>,
-    /// Perm pool: bucket successor per column.
-    pub perm_next: Vec<u32>,
-    /// Perm pool: bucket predecessor per column.
-    pub perm_prev: Vec<u32>,
-    /// Perm pool: first column per bucket.
-    pub perm_heads: Vec<u32>,
-    /// Perm pool: last column per bucket.
-    pub perm_tails: Vec<u32>,
-    /// Perm pool: column count per bucket.
-    pub perm_counts: Vec<i64>,
+    /// Every permanent gate's local column indexes in bucket order
+    /// (masks ascending, then list order), gates in gate order: a
+    /// permutation of each gate's columns.
+    pub perm_order: Vec<u32>,
 }
 
 impl EnumMachine {
@@ -516,27 +499,15 @@ impl EnumMachine {
 
     /// Instantiate a mutable enumeration state over a shared immutable
     /// plan: one bottom-up support pass over the gate arena, no counting
-    /// passes, no adjacency rebuild.
+    /// passes, no adjacency rebuild. Permanent buckets list their
+    /// columns in ascending order.
     pub fn from_plan(plan: Arc<EnumPlan>, input_vals: Vec<InputVal>) -> Self {
         let circuit = plan.circuit();
         assert_eq!(input_vals.len(), circuit.num_slots());
         let gates = circuit.gates();
-        let n = gates.len();
-        let mut add_sup = AddSupports::with_layout(
-            plan.add_offsets.len() - 1,
-            *plan.add_offsets.last().expect("nonempty") as usize,
-        );
+        let mut add_bits = vec![0u64; *plan.add_words.last().expect("nonempty") as usize];
         let mut perms = PermPool::with_layout(plan.total_cols, plan.total_buckets);
-        let mut support = vec![false; n];
-        // Word-wide mirror of `support`, maintained during this pass only:
-        // dense add gates (the whole child segment one contiguous id run
-        // — after the compiler's `cluster_adds` relabeling, almost every
-        // one) read their children's support 64 bits at a time
-        // instead of one bool per child (zero words skip 64 children in
-        // one compare — on the compiled circuits most mass sits under a
-        // few wide add gates, so this is the bulk of the O(circuit) per
-        // shard-state build).
-        let mut support_bits = vec![0u64; n.div_ceil(64)];
+        let mut support = vec![false; gates.len()];
         // Bottom-up: children precede parents, so one pass suffices.
         for (i, g) in gates.iter().enumerate() {
             support[i] = match g {
@@ -545,38 +516,15 @@ impl EnumMachine {
                 GateDef::Const(ConstRef::One) => true,
                 GateDef::Const(ConstRef::Lit(_)) => unreachable!("no lits"),
                 GateDef::Add(children) => {
-                    let ai = plan.add_index[i] as usize;
-                    let kids = circuit.children(*children);
-                    if let &[(lo, _)] = plan.eval_plan.add_runs(i as u32) {
-                        let lo = lo as usize;
-                        let hi = lo + kids.len();
-                        let mut any = false;
-                        let w0 = lo / 64;
-                        for (wi, &bits) in support_bits[w0..hi.div_ceil(64)].iter().enumerate() {
-                            let base = (w0 + wi) * 64;
-                            let mut word = bits;
-                            if base < lo {
-                                word &= !0u64 << (lo - base);
-                            }
-                            if base + 64 > hi {
-                                word &= !0u64 >> (base + 64 - hi);
-                            }
-                            any |= word != 0;
-                            while word != 0 {
-                                let b = word.trailing_zeros() as usize;
-                                word &= word - 1;
-                                add_sup.set(&plan.add_offsets, ai, base + b - lo, true);
-                            }
+                    let base = plan.add_words[i] as usize * 64;
+                    let mut any = false;
+                    for (p, c) in circuit.children(*children).iter().enumerate() {
+                        if support[c.0 as usize] {
+                            set_bit(&mut add_bits, base + p, true);
+                            any = true;
                         }
-                        any
-                    } else {
-                        for (p, c) in kids.iter().enumerate() {
-                            if support[c.0 as usize] {
-                                add_sup.set(&plan.add_offsets, ai, p, true);
-                            }
-                        }
-                        !add_sup.nz(&plan.add_offsets, ai).is_empty()
                     }
+                    any
                 }
                 GateDef::Mul(a, b) => support[a.0 as usize] && support[b.0 as usize],
                 GateDef::Perm { rows, cols } => {
@@ -594,21 +542,16 @@ impl EnumMachine {
                     PermSupport { meta, pool: &perms }.supported()
                 }
             };
-            if support[i] {
-                support_bits[i / 64] |= 1 << (i % 64);
-            }
         }
         let mut slot_bits = vec![0u64; input_vals.len().div_ceil(64)];
         for (slot, v) in input_vals.iter().enumerate() {
-            if !v.is_empty() {
-                slot_bits[slot / 64] |= 1 << (slot % 64);
-            }
+            set_bit(&mut slot_bits, slot, !v.is_empty());
         }
         EnumMachine {
             plan,
             input_vals,
             support,
-            add_sup,
+            add_bits,
             perms,
             dirty: DirtyQueue::new(),
             slot_bits,
@@ -624,145 +567,62 @@ impl EnumMachine {
         }
     }
 
-    /// Dump the full mutable state, **including the order-bearing
-    /// internals**: the add-gate support prefixes and the permanent
-    /// pool's bucket links. Enumeration and rank order depend on the
-    /// update history through these (supported children are appended /
-    /// swap-removed, pool columns are spliced to bucket tails), so a
-    /// restore from input values alone would enumerate the same *set*
-    /// in a different *order*. `EnumMachine::from_saved` over this dump
-    /// reproduces the exact live order.
+    /// Dump what a restore needs: the input values and each permanent
+    /// gate's bucket order. Supports, live-child bits, column masks and
+    /// bucket counts are functions of the input values, and so is the
+    /// order at add gates (ascending child position); the order within
+    /// a permanent's mask bucket is not — a column whose mask changes is
+    /// spliced to its new bucket's tail — so it is saved.
     pub fn dump_state(&self) -> MachineStateDump {
+        let mut perm_order = Vec::with_capacity(self.plan.total_cols);
+        for &meta in &self.plan.perm_meta {
+            let ps = PermSupport {
+                meta,
+                pool: &self.perms,
+            };
+            for m in 0..1u32 << meta.k {
+                let mut cur = ps.head(m);
+                while let Some(col) = cur {
+                    perm_order.push(col);
+                    cur = ps.next(col);
+                }
+            }
+        }
         MachineStateDump {
             input_vals: self.input_vals.clone(),
-            support: self.support.clone(),
-            add_len: self.add_sup.len.clone(),
-            add_nz: self.add_sup.nz.clone(),
-            add_where: self.add_sup.where_pos.clone(),
-            perm_mask: self.perms.col_mask.clone(),
-            perm_next: self.perms.next.clone(),
-            perm_prev: self.perms.prev.clone(),
-            perm_heads: self.perms.heads.clone(),
-            perm_tails: self.perms.tails.clone(),
-            perm_counts: self.perms.counts.clone(),
+            perm_order,
         }
     }
 
-    /// Reinstate a machine from a saved state dump, bit-for-bit: the
-    /// restored machine enumerates in exactly the order the dumped one
-    /// did. Validates every array length and every stored index against
-    /// the plan's layout so a corrupted dump is an `Err`, never an
-    /// out-of-bounds panic in the enumeration hot path.
+    /// Reinstate a machine from a saved dump: [`EnumMachine::from_plan`]
+    /// over the saved input values, then each permanent gate's buckets
+    /// re-threaded in the saved column order. The restored machine
+    /// enumerates in exactly the order the dumped one did. A dump whose
+    /// input count disagrees with the plan, or whose column order is not
+    /// a permutation of each gate's columns, is an `Err`, never a panic.
     pub fn from_saved(plan: Arc<EnumPlan>, dump: MachineStateDump) -> Result<Self, &'static str> {
-        let circuit = plan.circuit();
-        let n = circuit.len();
-        if dump.input_vals.len() != circuit.num_slots() {
+        if dump.input_vals.len() != plan.circuit().num_slots() {
             return Err("input count disagrees with the circuit");
         }
-        if dump.support.len() != n {
-            return Err("support length disagrees with the circuit");
+        if dump.perm_order.len() != plan.total_cols {
+            return Err("perm column order disagrees with the plan layout");
         }
-        let num_adds = plan.add_offsets.len() - 1;
-        let add_total = *plan.add_offsets.last().expect("nonempty") as usize;
-        if dump.add_len.len() != num_adds
-            || dump.add_nz.len() != add_total
-            || dump.add_where.len() != add_total
-        {
-            return Err("add-support arrays disagree with the plan layout");
-        }
-        for ai in 0..num_adds {
-            let seg = (plan.add_offsets[ai + 1] - plan.add_offsets[ai]) as usize;
-            let len = dump.add_len[ai] as usize;
-            if len > seg {
-                return Err("add-support prefix exceeds its segment");
-            }
-            let start = plan.add_offsets[ai] as usize;
-            for &p in &dump.add_nz[start..start + len] {
-                if p as usize >= seg {
-                    return Err("add-support child position out of range");
-                }
-            }
-            for &w in &dump.add_where[start..start + seg] {
-                if w != NO_IDX && w as usize >= len {
-                    return Err("add-support back-pointer out of range");
-                }
-            }
-        }
-        if dump.perm_mask.len() != plan.total_cols
-            || dump.perm_next.len() != plan.total_cols
-            || dump.perm_prev.len() != plan.total_cols
-            || dump.perm_heads.len() != plan.total_buckets
-            || dump.perm_tails.len() != plan.total_buckets
-            || dump.perm_counts.len() != plan.total_buckets
-        {
-            return Err("perm-pool arrays disagree with the plan layout");
-        }
-        for (pi, meta) in plan.perm_meta.iter().enumerate() {
-            // This gate's column count: distance to the next col_base
-            // (metas are laid out in order) or the pool total.
-            let cols = match plan.perm_meta.get(pi + 1) {
-                Some(next) => (next.col_base - meta.col_base) as usize,
-                None => plan.total_cols - meta.col_base as usize,
-            };
+        let mut machine = Self::from_plan(Arc::clone(&plan), dump.input_vals);
+        let mut seen = vec![false; plan.total_cols];
+        for (meta, cols) in plan.perm_gates() {
             let cb = meta.col_base as usize;
-            let in_range = |v: u32| -> bool { v == NO_IDX || (v as usize) < cols };
-            if !dump.perm_next[cb..cb + cols].iter().all(|&v| in_range(v))
-                || !dump.perm_prev[cb..cb + cols].iter().all(|&v| in_range(v))
-            {
-                return Err("perm-pool link out of range");
-            }
-            let buckets = 1usize << meta.k;
-            let bb = meta.bucket_base as usize;
-            if !dump.perm_heads[bb..bb + buckets]
-                .iter()
-                .all(|&v| in_range(v))
-                || !dump.perm_tails[bb..bb + buckets]
-                    .iter()
-                    .all(|&v| in_range(v))
-            {
-                return Err("perm-pool bucket head out of range");
-            }
-            for &m in &dump.perm_mask[cb..cb + cols] {
-                if m as usize >= buckets {
-                    return Err("perm-pool column mask out of range");
+            let order = &dump.perm_order[cb..cb + cols];
+            for &col in order {
+                if col as usize >= cols {
+                    return Err("perm column order names a column past the gate's width");
+                }
+                if std::mem::replace(&mut seen[cb + col as usize], true) {
+                    return Err("perm column order repeats a column");
                 }
             }
+            machine.perms.rethread(meta, order);
         }
-        let mut slot_bits = vec![0u64; dump.input_vals.len().div_ceil(64)];
-        for (slot, v) in dump.input_vals.iter().enumerate() {
-            if !v.is_empty() {
-                slot_bits[slot / 64] |= 1 << (slot % 64);
-            }
-        }
-        Ok(EnumMachine {
-            plan,
-            input_vals: dump.input_vals,
-            support: dump.support,
-            add_sup: AddSupports {
-                len: dump.add_len,
-                nz: dump.add_nz,
-                where_pos: dump.add_where,
-            },
-            perms: PermPool {
-                col_mask: dump.perm_mask,
-                next: dump.perm_next,
-                prev: dump.perm_prev,
-                heads: dump.perm_heads,
-                tails: dump.perm_tails,
-                counts: dump.perm_counts,
-            },
-            dirty: DirtyQueue::new(),
-            slot_bits,
-            flip_words: Vec::new(),
-            flip_scratch: Vec::new(),
-            version: 0,
-            counts: Mutex::new(CountState {
-                eval: None,
-                pending: Vec::new(),
-                count_version: 0,
-                add_prefix: Default::default(),
-            }),
-        })
+        Ok(machine)
     }
 
     /// The shared immutable plan.
@@ -785,11 +645,11 @@ impl EnumMachine {
         self.support[self.circuit().output().0 as usize]
     }
 
-    /// Live supported-children list of an addition gate.
-    pub(crate) fn add_nz(&self, gate: u32) -> &[u32] {
-        let ai = self.plan.add_index[gate as usize];
-        debug_assert_ne!(ai, NO_IDX, "not an addition gate");
-        self.add_sup.nz(&self.plan.add_offsets, ai as usize)
+    /// Live-child bitmask of an addition gate: bit `p` is set iff the
+    /// child at position `p` is supported.
+    pub(crate) fn add_live(&self, gate: u32) -> &[u64] {
+        let w = &self.plan.add_words;
+        &self.add_bits[w[gate as usize] as usize..w[gate as usize + 1] as usize]
     }
 
     /// Lemma 39 support structure of a permanent gate.
@@ -805,12 +665,7 @@ impl EnumMachine {
     pub fn set_input(&mut self, slot: u32, value: InputVal) {
         let new_support = !value.is_empty();
         self.input_vals[slot as usize] = value;
-        let (w, bit) = (slot as usize / 64, 1u64 << (slot % 64));
-        if new_support {
-            self.slot_bits[w] |= bit;
-        } else {
-            self.slot_bits[w] &= !bit;
-        }
+        set_bit(&mut self.slot_bits, slot as usize, new_support);
         self.note_count(slot);
         self.refresh_slot(slot, new_support);
     }
@@ -950,9 +805,8 @@ impl EnumMachine {
         for &p in self.plan.eval_plan.parents(g) {
             match p {
                 ParentRef::Add { gate, child_pos } => {
-                    let ai = self.plan.add_index[gate as usize] as usize;
-                    self.add_sup
-                        .set(&self.plan.add_offsets, ai, child_pos as usize, sup);
+                    let at = self.plan.add_words[gate as usize] as usize * 64 + child_pos as usize;
+                    set_bit(&mut self.add_bits, at, sup);
                 }
                 ParentRef::Mul(_) => {}
                 ParentRef::Perm { gate, row, col } => {
@@ -967,7 +821,7 @@ impl EnumMachine {
     fn recompute_support(&self, g: u32) -> bool {
         match &self.circuit().gates()[g as usize] {
             GateDef::Input(_) | GateDef::Const(_) => self.support[g as usize],
-            GateDef::Add(_) => !self.add_nz(g).is_empty(),
+            GateDef::Add(_) => self.add_live(g).iter().any(|&w| w != 0),
             GateDef::Mul(a, b) => self.support[a.0 as usize] && self.support[b.0 as usize],
             GateDef::Perm { .. } => self.perm_support(g).supported(),
         }
@@ -1039,12 +893,12 @@ impl EnumMachine {
     /// Exhaustive invariant verification of the mutable state against
     /// the plan: the support shadow of every gate matches a fresh
     /// bottom-up recomputation, input presence bits mirror the summand
-    /// lists, every add gate's supported prefix is a duplicate-free list
-    /// of exactly the supported children with consistent back-pointers,
-    /// and every perm pool bucket is a coherent doubly-linked list whose
-    /// masks match the children's support with each column in exactly
-    /// one bucket. `O(circuit)` with allocations — a diagnostic for
-    /// recovery and quarantine-restore paths, not a hot path.
+    /// lists, every add gate's live bits are exactly its supported
+    /// children with no bit past the fan-in, and every perm pool bucket
+    /// is a coherent doubly-linked list whose masks match the children's
+    /// support with each column in exactly one bucket. `O(circuit)` with
+    /// allocations — a diagnostic for recovery and quarantine-restore
+    /// paths, not a hot path.
     pub fn self_check(&self) -> Result<(), String> {
         let plan = &self.plan;
         let circuit = plan.circuit();
@@ -1083,63 +937,23 @@ impl EnumMachine {
                     ))
                 }
                 GateDef::Add(r) => {
-                    let ai = plan.add_index[i];
-                    if ai == NO_IDX {
-                        return Err(format!("gate {i}: add gate missing from the dense index"));
-                    }
-                    let ai = ai as usize;
                     let kids = circuit.children(*r);
-                    let start = plan.add_offsets[ai] as usize;
-                    let seg = (plan.add_offsets[ai + 1] - plan.add_offsets[ai]) as usize;
-                    if seg != kids.len() {
+                    let live = self.add_live(i as u32);
+                    for (p, c) in kids.iter().enumerate() {
+                        let bit = live[p / 64] >> (p % 64) & 1 == 1;
+                        if bit != self.support[c.0 as usize] {
+                            return Err(format!(
+                                "gate {i}: live bit {bit} at position {p} disagrees with the child's support"
+                            ));
+                        }
+                    }
+                    if let Some(p) = next_set(live, kids.len()) {
                         return Err(format!(
-                            "gate {i}: segment capacity {seg} vs fan-in {}",
+                            "gate {i}: live bit at position {p} past the fan-in {}",
                             kids.len()
                         ));
                     }
-                    let len = self.add_sup.len[ai] as usize;
-                    if len > seg {
-                        return Err(format!(
-                            "gate {i}: supported prefix {len} exceeds segment {seg}"
-                        ));
-                    }
-                    let mut in_prefix = vec![false; seg];
-                    for (idx, &p) in self.add_sup.nz[start..start + len].iter().enumerate() {
-                        let p = p as usize;
-                        if p >= seg {
-                            return Err(format!("gate {i}: child position {p} out of range"));
-                        }
-                        if in_prefix[p] {
-                            return Err(format!("gate {i}: child position {p} listed twice"));
-                        }
-                        in_prefix[p] = true;
-                        if !self.support[kids[p].0 as usize] {
-                            return Err(format!(
-                                "gate {i}: unsupported child at position {p} in the live prefix"
-                            ));
-                        }
-                        if self.add_sup.where_pos[start + p] as usize != idx {
-                            return Err(format!(
-                                "gate {i}: back-pointer of position {p} is {} not {idx}",
-                                self.add_sup.where_pos[start + p]
-                            ));
-                        }
-                    }
-                    for (p, &listed) in in_prefix.iter().enumerate() {
-                        if !listed {
-                            if self.add_sup.where_pos[start + p] != NO_IDX {
-                                return Err(format!(
-                                    "gate {i}: stale back-pointer at unlisted position {p}"
-                                ));
-                            }
-                            if self.support[kids[p].0 as usize] {
-                                return Err(format!(
-                                    "gate {i}: supported child at position {p} missing from the prefix"
-                                ));
-                            }
-                        }
-                    }
-                    len > 0
+                    next_set(live, 0).is_some()
                 }
                 GateDef::Mul(a, b) => self.support[a.0 as usize] && self.support[b.0 as usize],
                 GateDef::Perm { rows, cols } => {
@@ -1516,5 +1330,102 @@ mod tests {
         mach.set_input_bool(0, true);
         assert!(mach.output_supported());
         assert_eq!(mach.input(0), &vec![Vec::<Gen>::new()]);
+    }
+
+    #[test]
+    fn live_bit_scans_cross_word_boundaries() {
+        // bits 0, 63, 64, 127 and 129 of a three-word (130-bit) set
+        let mut words = vec![0u64; 3];
+        for p in [0, 63, 64, 127, 129] {
+            set_bit(&mut words, p, true);
+        }
+        let fwd: Vec<_> =
+            std::iter::successors(next_set(&words, 0), |&p| next_set(&words, p + 1)).collect();
+        assert_eq!(fwd, [0, 63, 64, 127, 129]);
+        let bwd: Vec<_> =
+            std::iter::successors(prev_set(&words, 130), |&p| prev_set(&words, p)).collect();
+        assert_eq!(bwd, [129, 127, 64, 63, 0]);
+        assert_eq!(next_set(&words, 1), Some(63));
+        assert_eq!(next_set(&words, 65), Some(127));
+        assert_eq!(next_set(&words, 128), Some(129));
+        assert_eq!(next_set(&words, 130), None);
+        assert_eq!(next_set(&words, 192), None, "from past the last word");
+        assert_eq!(prev_set(&words, 64), Some(63));
+        assert_eq!(prev_set(&words, 63), Some(0));
+        assert_eq!(prev_set(&words, 129), Some(127));
+        assert_eq!(prev_set(&words, 1000), Some(129), "end past the last word");
+        assert_eq!(prev_set(&words, 0), None);
+        set_bit(&mut words, 0, false);
+        assert_eq!(prev_set(&words, 63), None);
+        assert_eq!(next_set(&[], 0), None);
+        assert_eq!(prev_set(&[], 5), None);
+    }
+
+    /// perm₂ over three columns of inputs, driven so a column leaves
+    /// and re-enters its bucket (the one order a dump must carry).
+    fn churned_perm_machine() -> (Arc<EnumPlan>, EnumMachine) {
+        let mut b = CircuitBuilder::new();
+        let inputs: Vec<_> = (0..6).map(|i| b.input(i)).collect();
+        let p = b.perm_flat(2, inputs);
+        let plan = Arc::new(EnumPlan::new(Arc::new(b.finish(p))));
+        let mut mach = EnumMachine::from_plan(plan.clone(), (0..6).map(|i| gens(&[i])).collect());
+        mach.set_input(0, vec![]);
+        mach.set_input(0, gens(&[0]));
+        (plan, mach)
+    }
+
+    #[test]
+    fn saved_perm_order_survives_a_restore() {
+        let (plan, mach) = churned_perm_machine();
+        let dump = mach.dump_state();
+        assert_eq!(
+            dump.perm_order,
+            [1, 2, 0],
+            "column 0 re-entered at the tail"
+        );
+        let restored = EnumMachine::from_saved(plan.clone(), dump).unwrap();
+        assert_eq!(restored.self_check(), Ok(()));
+        let stream = |m: &EnumMachine| {
+            let mut it = m.summands();
+            std::iter::from_fn(|| it.next()).collect::<Vec<_>>()
+        };
+        assert_eq!(stream(&restored), stream(&mach));
+        let fresh = EnumMachine::from_plan(plan, (0..6).map(|i| gens(&[i])).collect());
+        assert_ne!(stream(&fresh), stream(&mach), "the order is history");
+        // a circuit without permanents restores too
+        let mut b = CircuitBuilder::new();
+        let x = b.input(0);
+        let m = EnumMachine::new(Arc::new(b.finish(x)), vec![gens(&[1])]);
+        assert!(EnumMachine::from_saved(m.plan().clone(), m.dump_state()).is_ok());
+    }
+
+    #[test]
+    fn damaged_perm_order_is_refused() {
+        let (plan, mach) = churned_perm_machine();
+        let damaged = |order: Vec<u32>| MachineStateDump {
+            perm_order: order,
+            ..mach.dump_state()
+        };
+        for (order, err) in [
+            (vec![1, 1, 0], "perm column order repeats a column"),
+            (
+                vec![1, 2, 3],
+                "perm column order names a column past the gate's width",
+            ),
+            (
+                vec![1, 2],
+                "perm column order disagrees with the plan layout",
+            ),
+        ] {
+            match EnumMachine::from_saved(plan.clone(), damaged(order.clone())) {
+                Err(e) => assert_eq!(e, err, "{order:?}"),
+                Ok(_) => panic!("{order:?} must be refused"),
+            }
+        }
+        let short = MachineStateDump {
+            input_vals: Vec::new(),
+            ..mach.dump_state()
+        };
+        assert!(EnumMachine::from_saved(plan, short).is_err());
     }
 }

@@ -277,9 +277,9 @@ pub struct ShardedEngine<S: Semiring, P: PermMaint<S>> {
 /// One shard's serializable mutable state, as captured by
 /// [`ShardedEngine::snapshot_states`] under a consistent all-shards
 /// snapshot: the point-query evaluator's slot/gate value vectors and the
-/// full enumeration machine dump (input summand lists plus the
-/// order-bearing support/pool internals). Everything else a shard holds
-/// is shared immutable plan.
+/// enumeration machine dump (input summand lists plus the permanent
+/// bucket order, the one piece of history the machine keeps). Everything
+/// else a shard holds is shared immutable plan or recomputed on load.
 pub struct ShardStateDump<S> {
     /// Point side: input-slot values, indexed by slot id.
     pub slot_values: Vec<S>,

@@ -200,21 +200,22 @@ fn dense_run_coverage_and_sweep_throughput() {
     );
 
     // Throughput floor on the dense-run mass, min-of-k to shed noise.
+    // The two kernels alternate inside each round, so host drift over
+    // the measurement lands on both sides alike.
     let dense_runs = runs_over(&dense_adds);
     let reps = 100u32;
-    let timed = |f: &dyn Fn() -> Nat| -> Duration {
-        let mut best = Duration::MAX;
-        for _ in 0..7 {
-            let t = Instant::now();
-            for _ in 0..reps {
-                std::hint::black_box(f());
-            }
-            best = best.min(t.elapsed() / reps);
+    let time = |f: &dyn Fn() -> Nat| -> Duration {
+        let t = Instant::now();
+        for _ in 0..reps {
+            std::hint::black_box(f());
         }
-        best
+        t.elapsed() / reps
     };
-    let t_gather = timed(&|| gather_over(&dense_adds));
-    let t_dense = timed(&|| dense_over(&dense_runs));
+    let (mut t_gather, mut t_dense) = (Duration::MAX, Duration::MAX);
+    for _ in 0..7 {
+        t_gather = t_gather.min(time(&|| gather_over(&dense_adds)));
+        t_dense = t_dense.min(time(&|| dense_over(&dense_runs)));
+    }
     let speedup = t_gather.as_secs_f64() / t_dense.as_secs_f64();
     let mass: usize = dense_adds.iter().map(|(_, k)| k.len()).sum();
     println!(

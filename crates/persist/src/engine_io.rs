@@ -26,7 +26,7 @@ pub const PLAN_MAGIC: [u8; 4] = *b"AGQP";
 pub const SNAP_MAGIC: [u8; 4] = *b"AGQS";
 /// Format version this build reads and writes (plan and snapshot files;
 /// the WAL versions independently).
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Sizes of the artifacts one save produced, for capacity planning and
 /// the persistence benchmarks.
@@ -450,10 +450,11 @@ where
     let mut report = replay_batches(scan, snapshot_lsn, |batch| {
         // The journaled batch is already coalesced and grouped by
         // shard, so this shard's subsequence is exactly the group the
-        // live engine applied (or would have applied) — replaying it
-        // through the same batched path reproduces the enumeration
-        // structures byte for byte (their internal order is
-        // update-history-dependent).
+        // live engine applied (or would have applied). Add-gate order is
+        // a function of the state, but the column order inside a
+        // permanent's mask buckets follows the splice order of the
+        // sweep — replaying through the same batched path reproduces it
+        // exactly.
         let group: Vec<&TupleUpdate> = batch
             .updates
             .iter()

@@ -19,7 +19,8 @@
 //!   shard the same `Arc`s.
 //! * **`.agqsnap`** — the mutable half: per shard, the evaluator's slot
 //!   values and committed gate values and the enumeration machine's
-//!   provenance supports, captured at one LSN. Sharded snapshots are
+//!   input summand lists and permanent-bucket column order, captured at
+//!   one LSN. Sharded snapshots are
 //!   taken under the engine's ordered whole-lockset read guard, so they
 //!   are point-in-time consistent across shards, and additionally carry
 //!   the Gaifman component → shard routing tables.
@@ -36,13 +37,13 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic           — "AGQP" (plan) / "AGQS" (snapshot)
-//! 4       4     version u32     — FORMAT_VERSION (currently 2)
+//! 4       4     version u32     — FORMAT_VERSION (currently 3)
 //! 8       1     carrier tag u8  — PersistValue::TAG of the semiring
 //! 9       n     body            — bundle payload (plan.rs / snapshot.rs)
 //! 9+n     4     crc u32         — CRC-32 (IEEE) of the body bytes
 //! ```
 //!
-//! The version-2 plan body, in order (`plan.rs`):
+//! The plan body, in order (`plan.rs`; unchanged since version 2):
 //!
 //! ```text
 //! dynamic u8 · domain size u64
@@ -60,8 +61,27 @@
 //! signature       relations, then weights: u64 n, n × (string, u8)
 //! ```
 //!
-//! Version 1 stored the circuit and the registry once per side; its
-//! files are refused, not migrated — recompile and save again.
+//! The version-3 snapshot body, in order (`snapshot.rs`):
+//!
+//! ```text
+//! last LSN u64
+//! kind u8         0: single engine; 1: sharded, followed by the
+//!                 component-local flag u8, the shard count u64, and the
+//!                 element → component and component → shard tables
+//!                 (u64 n, n × u32 each)
+//! shards          u64 n (1 when single), then per shard:
+//!   slot values   u64 n, n × carrier value
+//!   gate values   u64 n, n × carrier value
+//!   input lists   u64 n slots, per slot u64 m summands, per summand
+//!                 u64 g generators, g × u64
+//!   perm order    u64 n, n × u32 — every permanent gate's local columns
+//!                 in bucket order, gates in gate order
+//! ```
+//!
+//! Version 1 stored the circuit and the registry once per side. Version
+//! 2 snapshots also stored the machine's support bits, add-gate live
+//! prefixes and permanent bucket links. Files of either version are
+//! refused, not migrated — recompile and save again.
 //!
 //! A wrong magic, an unknown version, a foreign carrier tag, and a
 //! trailer mismatch each map to their own [`PersistError`] variant; a

@@ -1,6 +1,9 @@
 //! State snapshots: the **mutable** half of an engine — committed gate
-//! values, slot inputs, and the enumeration machine's provenance
-//! supports — captured per shard at a point-in-time LSN.
+//! values, slot inputs, and the enumeration machine's input summand
+//! lists plus its permanent-bucket column order — captured per shard at
+//! a point-in-time LSN. Everything else the machine holds (supports,
+//! add-gate live bits, column masks, bucket counts) is a function of the
+//! input lists and is recomputed on load, never decoded.
 //!
 //! A snapshot is only meaningful against the plan it was taken under
 //! (same circuits, same slot registries); the file layer stamps both
@@ -62,42 +65,14 @@ fn read_input_val(r: &mut ByteReader) -> Result<InputVal, PersistError> {
     Ok(iv)
 }
 
-fn write_u32s(w: &mut ByteWriter, vs: &[u32]) {
-    w.len_prefix(vs.len());
-    for &v in vs {
-        w.u32(v);
-    }
-}
-
-fn read_u32s(r: &mut ByteReader) -> Result<Vec<u32>, PersistError> {
-    let n = r.len_prefix(4)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.u32()?);
-    }
-    Ok(out)
-}
-
 fn write_machine(w: &mut ByteWriter, m: &MachineStateDump) {
     w.len_prefix(m.input_vals.len());
     for iv in &m.input_vals {
         write_input_val(w, iv);
     }
-    w.len_prefix(m.support.len());
-    for &b in &m.support {
-        w.u8(b as u8);
-    }
-    write_u32s(w, &m.add_len);
-    write_u32s(w, &m.add_nz);
-    write_u32s(w, &m.add_where);
-    write_u32s(w, &m.perm_mask);
-    write_u32s(w, &m.perm_next);
-    write_u32s(w, &m.perm_prev);
-    write_u32s(w, &m.perm_heads);
-    write_u32s(w, &m.perm_tails);
-    w.len_prefix(m.perm_counts.len());
-    for &c in &m.perm_counts {
-        w.i64(c);
+    w.len_prefix(m.perm_order.len());
+    for &col in &m.perm_order {
+        w.u32(col);
     }
 }
 
@@ -107,40 +82,14 @@ fn read_machine(r: &mut ByteReader) -> Result<MachineStateDump, PersistError> {
     for _ in 0..n {
         input_vals.push(read_input_val(r)?);
     }
-    let n_sup = r.len_prefix(1)?;
-    let mut support = Vec::with_capacity(n_sup);
-    for _ in 0..n_sup {
-        support.push(match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(PersistError::Corrupt("support byte is neither 0 nor 1")),
-        });
-    }
-    let add_len = read_u32s(r)?;
-    let add_nz = read_u32s(r)?;
-    let add_where = read_u32s(r)?;
-    let perm_mask = read_u32s(r)?;
-    let perm_next = read_u32s(r)?;
-    let perm_prev = read_u32s(r)?;
-    let perm_heads = read_u32s(r)?;
-    let perm_tails = read_u32s(r)?;
-    let n_counts = r.len_prefix(8)?;
-    let mut perm_counts = Vec::with_capacity(n_counts);
-    for _ in 0..n_counts {
-        perm_counts.push(r.i64()?);
+    let n = r.len_prefix(4)?;
+    let mut perm_order = Vec::with_capacity(n);
+    for _ in 0..n {
+        perm_order.push(r.u32()?);
     }
     Ok(MachineStateDump {
         input_vals,
-        support,
-        add_len,
-        add_nz,
-        add_where,
-        perm_mask,
-        perm_next,
-        perm_prev,
-        perm_heads,
-        perm_tails,
-        perm_counts,
+        perm_order,
     })
 }
 

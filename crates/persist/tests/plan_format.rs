@@ -1,8 +1,9 @@
-//! Format-version-2 plan files: the circuit and its slot registry are
-//! stored **once**, whoever built the engine; a loaded plan shares one
-//! circuit, one registry and one evaluation plan across the point,
-//! enumeration and count sides of every shard; version-1 artefacts are
-//! refused with the typed `VersionMismatch`.
+//! Plan files (body layout unchanged since format version 2): the
+//! circuit and its slot registry are stored **once**, whoever built the
+//! engine; a loaded plan shares one circuit, one registry and one
+//! evaluation plan across the point, enumeration and count sides of
+//! every shard; artefacts of an older format version are refused with
+//! the typed `VersionMismatch`.
 
 use agq_circuit::CircuitBuilder;
 use agq_core::{
@@ -189,35 +190,35 @@ fn a_differing_enumeration_circuit_survives_behind_its_tag() {
 }
 
 #[test]
-fn version_1_artefacts_are_refused() {
-    assert_eq!(FORMAT_VERSION, 2);
+fn version_2_artefacts_are_refused() {
+    assert_eq!(FORMAT_VERSION, 3);
     let (a, _e, phi) = world();
     let eng = Engine::build_dynamic(&a, &phi, &CompileOptions::default()).unwrap();
-    let (plan, snap) = scratch("v1");
+    let (plan, snap) = scratch("v2");
     save_engine(&eng, &plan, &snap).unwrap();
-    let stamp_v1 = |path: &PathBuf| {
+    let stamp_v2 = |path: &PathBuf| {
         let mut bytes = std::fs::read(path).unwrap();
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
         std::fs::write(path, &bytes).unwrap();
     };
-    stamp_v1(&plan);
+    stamp_v2(&plan);
     match load_plan::<Nat>(&plan) {
         Err(PersistError::VersionMismatch {
-            found: 1,
-            expected: 2,
+            found: 2,
+            expected: 3,
         }) => {}
         Err(other) => panic!("expected VersionMismatch, got {other:?}"),
-        Ok(_) => panic!("a version-1 plan must not load"),
+        Ok(_) => panic!("a version-2 plan must not load"),
     }
     // restore the plan, stamp the snapshot instead
     save_plan(&eng, &plan).unwrap();
-    stamp_v1(&snap);
+    stamp_v2(&snap);
     match load_engine::<Nat, SegTreePerm<Nat>>(&plan, &snap) {
         Err(PersistError::VersionMismatch {
-            found: 1,
-            expected: 2,
+            found: 2,
+            expected: 3,
         }) => {}
         Err(other) => panic!("expected VersionMismatch, got {other:?}"),
-        Ok(_) => panic!("a version-1 snapshot must not load"),
+        Ok(_) => panic!("a version-2 snapshot must not load"),
     }
 }

@@ -244,10 +244,11 @@ fn corrupted_plan_body_is_checksum_mismatch() {
 fn damaged_enumeration_circuit_tag_is_a_typed_error() {
     let (_live, plan, snap, _wal) = save_and_churn("tag", 1);
     let bytes = std::fs::read(&plan).unwrap();
-    // A version-2 plan body ends `… compile report | enumeration-circuit
-    // tag u8 | signature`, and `build()`'s signature is two relations
-    // ("E"/2, "S"/1) and no weights: two u64 counts plus, per relation, a
-    // length-prefixed one-byte name and an arity byte.
+    // A plan body (layout unchanged since version 2) ends `… compile
+    // report | enumeration-circuit tag u8 | signature`, and `build()`'s
+    // signature is two relations ("E"/2, "S"/1) and no weights: two u64
+    // counts plus, per relation, a length-prefixed one-byte name and an
+    // arity byte.
     let sig_len = 8 + 2 * (8 + 1 + 1) + 8;
     let tag_at = bytes.len() - 4 - sig_len - 1;
     assert_eq!(
@@ -276,10 +277,11 @@ fn damaged_enumeration_circuit_tag_is_a_typed_error() {
 fn oversized_perm_rows_are_a_typed_error() {
     let (_live, plan, snap, _wal) = save_and_churn("rows", 1);
     let bytes = std::fs::read(&plan).unwrap();
-    // Walk the version-2 plan body to the gate list: `dynamic u8 |
-    // domain u64 | num_slots u32 | num_lits u32 | output u32 | children
-    // u64 + 4 B each | gates u64`, then one tag byte per gate and its
-    // fields (`Perm` = tag 6, rows u8, start u32, len u32).
+    // Walk the plan body (layout unchanged since version 2) to the gate
+    // list: `dynamic u8 | domain u64 | num_slots u32 | num_lits u32 |
+    // output u32 | children u64 + 4 B each | gates u64`, then one tag
+    // byte per gate and its fields (`Perm` = tag 6, rows u8, start u32,
+    // len u32).
     let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
     let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
     let children_at = 9 + 1 + 8 + 12;
@@ -319,6 +321,41 @@ fn oversized_perm_rows_are_a_typed_error() {
         Err(PersistError::Corrupt("perm rows exceed MAX_ROWS")) => {}
         Err(other) => panic!("expected Corrupt(perm rows), got {other:?}"),
         Ok(_) => panic!("expected Corrupt(perm rows), got a loaded engine"),
+    }
+}
+
+#[test]
+fn damaged_perm_column_order_is_a_typed_error() {
+    let (live, plan, snap, _wal) = save_and_churn("order", 0);
+    let bytes = std::fs::read(&snap).unwrap();
+    // A single-engine snapshot body ends with the machine's perm column
+    // order, `u64 n | n × u32`, right before the 4-byte trailer.
+    let n = live.answer_index().machine().dump_state().perm_order.len();
+    assert!(n >= 2, "the circuit has perm columns to damage");
+    let body_end = bytes.len() - 4;
+    let len_at = body_end - 4 * n - 8;
+    assert_eq!(
+        u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().unwrap()),
+        n as u64
+    );
+    let last_at = body_end - 4;
+    let prev = bytes[last_at - 4..last_at].to_vec();
+    assert_ne!(prev, bytes[last_at..body_end], "columns are distinct");
+    // The last column becomes a copy of the one before it (a repeat, or
+    // past the width when the last gate has one column), then a column
+    // far past every gate's width.
+    for bad in [prev, u32::MAX.to_le_bytes().to_vec()] {
+        let mut damaged = bytes.clone();
+        damaged[last_at..body_end].copy_from_slice(&bad);
+        // Re-seal the checksum so the damage reaches the body decoder.
+        let crc = agq_persist::crc32::crc32(&damaged[9..body_end]);
+        damaged[body_end..].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&snap, &damaged).unwrap();
+        match load_engine::<F64, SegTreePerm<F64>>(&plan, &snap) {
+            Err(PersistError::Corrupt(msg)) if msg.starts_with("perm column order") => {}
+            Err(other) => panic!("{bad:?}: expected Corrupt(perm column order), got {other:?}"),
+            Ok(_) => panic!("{bad:?}: expected Corrupt, got a loaded engine"),
+        }
     }
 }
 
