@@ -5,13 +5,14 @@
 //! once**, sees every child final before its parent — no matter how many
 //! cones seeded the queue. [`DirtyQueue`] is that schedule and nothing
 //! else: the update sweeps of [`crate::DynEvaluator`] (plain and delta),
-//! its discovery peek, and the support sweep of `agq-enumerate`'s machine
-//! all push parents into one and pop until it is empty.
+//! the cone walk behind its point queries and [`crate::EvalPlan`]'s cone
+//! memo, and the support sweep of `agq-enumerate`'s machine all push
+//! parents into one and pop until it is empty.
 //!
 //! The representation is a min-heap that admits duplicates and drops them
 //! when they surface. It is private to this type on purpose: a
 //! duplicate-free representation (one bit per gate, word-scan pop — see
-//! ROADMAP item 1) is a change to this file alone.
+//! ROADMAP item 4) is a change to this file alone.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -211,6 +211,25 @@ fn for_each_add_run(circuit: &Circuit, mut f: impl FnMut(usize, u32, u32)) {
     }
 }
 
+/// Append to `cone` every gate reachable upward through `parents` from
+/// the `seeds`, ascending, each once: the gates a point query patching
+/// the seeds must re-evaluate. Ids are topological, so draining a
+/// [`DirtyQueue`] that is fed each popped gate's parents yields the cone
+/// already sorted and deduplicated. The one cone walk:
+/// [`EvalPlan::with_cones`] memoizes it, [`DynEvaluator::peek_memo`] runs
+/// it on demand for the slots the plan left out.
+fn walk_cone(parents: &Csr<ParentRef>, seeds: &[u32], queue: &mut DirtyQueue, cone: &mut Vec<u32>) {
+    for &g in seeds {
+        queue.push(g);
+    }
+    while let Some(g) = queue.pop() {
+        cone.push(g);
+        for p in parents.row(g as usize) {
+            queue.push(p.gate());
+        }
+    }
+}
+
 /// The immutable half of dynamic evaluation: everything derived from the
 /// circuit topology alone — parent references, per-slot input-gate lists,
 /// the dense perm-gate numbering, dense-run tables, and (optionally)
@@ -235,8 +254,9 @@ pub struct EvalPlan {
     slot_gates: Csr<u32>,
     /// Memoized peek cones: for a memoized slot, the ascending (hence
     /// topologically sorted) gate ids of every gate reachable upward from
-    /// the slot's input gates. An empty row means "not memoized" (a slot
-    /// read by at least one gate always has a nonempty cone).
+    /// the slot's input gates. An empty row means "not memoized" or "no
+    /// gate reads the slot"; [`DynEvaluator::peek_memo`] walks either on
+    /// demand, and the walk of an unread slot is empty.
     cones: Csr<u32>,
     /// Dense-run analysis: for each add gate, the maximal contiguous
     /// ascending runs `(first child id, length)` of its child segment, in
@@ -279,9 +299,8 @@ impl EvalPlan {
     ///
     /// A slot's cone is static topology: for query-bounded slots (the
     /// `v_i` free-variable indicators of Theorem 8) it has constant size,
-    /// and memoizing it lets [`DynEvaluator::peek_memo`] evaluate a point
-    /// query by a linear sweep of the precomputed cone instead of
-    /// discovering it per query through a dirty queue and a hash map.
+    /// and memoizing it saves [`DynEvaluator::peek_memo`] the walk that
+    /// finds the cone on every query.
     pub fn with_cones(circuit: Arc<Circuit>, cone_slots: &[u32]) -> Self {
         let gates = circuit.gates();
         let n = gates.len();
@@ -358,35 +377,21 @@ impl EvalPlan {
         let parents = parents.finish();
         let slot_gates = slot_gates.finish();
 
-        // Cone memoization: ascend from each requested slot's input gates
-        // through the parent lists, stamping visits; sort for the
-        // topological sweep of `peek_memo`.
-        let mut stamp = vec![u32::MAX; n];
-        let mut cone_of: Vec<(u32, Vec<u32>)> = Vec::with_capacity(cone_slots.len());
-        let mut stack: Vec<u32> = Vec::new();
-        for (si, &slot) in cone_slots.iter().enumerate() {
-            let mut cone: Vec<u32> = Vec::new();
-            stack.clear();
-            for &g in slot_gates.row(slot as usize) {
-                if stamp[g as usize] != si as u32 {
-                    stamp[g as usize] = si as u32;
-                    stack.push(g);
-                    cone.push(g);
-                }
-            }
-            while let Some(g) = stack.pop() {
-                for &p in parents.row(g as usize) {
-                    let pg = p.gate();
-                    if stamp[pg as usize] != si as u32 {
-                        stamp[pg as usize] = si as u32;
-                        stack.push(pg);
-                        cone.push(pg);
-                    }
-                }
-            }
-            cone.sort_unstable();
-            cone_of.push((slot, cone));
-        }
+        // Cone memoization: the walk `peek_memo` would run on demand.
+        let mut queue = DirtyQueue::new();
+        let cone_of: Vec<(u32, Vec<u32>)> = cone_slots
+            .iter()
+            .map(|&slot| {
+                let mut cone = Vec::new();
+                walk_cone(
+                    &parents,
+                    slot_gates.row(slot as usize),
+                    &mut queue,
+                    &mut cone,
+                );
+                (slot, cone)
+            })
+            .collect();
         let mut cones = CsrBuilder::new(circuit.num_slots());
         for (slot, cone) in &cone_of {
             for _ in cone {
@@ -426,11 +431,6 @@ impl EvalPlan {
     /// The circuit this plan describes.
     pub fn circuit(&self) -> &Arc<Circuit> {
         &self.circuit
-    }
-
-    /// Whether `slot`'s peek cone was memoized.
-    fn has_cone(&self, slot: u32) -> bool {
-        !self.cones.row(slot as usize).is_empty()
     }
 
     /// Every reader of gate `g`, in (parent gate, position in the
@@ -720,66 +720,6 @@ impl<S: Semiring, P: PermMaint<S>> DynEvaluator<S, P> {
         self.perms[pi as usize].total().clone()
     }
 
-    /// Evaluate the output with some slots *temporarily* overwritten via
-    /// full update/restore cycles — the literal query-by-updates trick of
-    /// Theorem 8. Prefer [`DynEvaluator::peek`], which computes the same
-    /// value without touching (and then repairing) persistent state.
-    pub fn peek_with(&mut self, patches: &[(u32, S)]) -> S {
-        let saved: Vec<(u32, S)> = patches
-            .iter()
-            .map(|(s, _)| (*s, self.slot_values[*s as usize].clone()))
-            .collect();
-        for (s, v) in patches {
-            self.set_input(*s, v.clone());
-        }
-        let out = self.output().clone();
-        for (s, v) in saved.into_iter().rev() {
-            self.set_input(s, v);
-        }
-        out
-    }
-
-    /// Evaluate the output with some slots overwritten, **without
-    /// mutating any state**: only the query-bounded cone above the
-    /// patched slots is recomputed, into `scratch`'s overlay. Permanent
-    /// gates answer through the non-mutating [`PermMaint::peek`], so
-    /// nothing has to be committed or rolled back. The scratch is reused
-    /// across calls; clearing is `O(touched)`.
-    pub fn peek(&self, patches: &[(u32, S)], scratch: &mut PeekScratch<S>) -> S {
-        scratch.begin();
-        // Later patches to one slot win; resolve that *before* propagating
-        // so a patch back to the base value cancels an earlier one.
-        let resolved = scratch.resolve(patches);
-        for &(slot, pi) in &resolved {
-            let v = &patches[pi].1;
-            if self.slot_values[slot as usize] == *v {
-                continue;
-            }
-            for &g in self.plan.slot_gates(slot) {
-                if self.values[g as usize] != *v {
-                    scratch.set(g, v.clone());
-                    self.mark_parents_overlay(g, scratch);
-                }
-            }
-        }
-        scratch.resolved = resolved;
-        while let Some(g) = scratch.dirty.pop() {
-            let new = match &self.plan.circuit.gates()[g as usize] {
-                GateDef::Perm { .. } => self.peek_perm(g, scratch),
-                _ => self.recompute_overlay(g, scratch),
-            };
-            if new != self.values[g as usize] {
-                scratch.set(g, new);
-                self.mark_parents_overlay(g, scratch);
-            }
-        }
-        let out = self.plan.circuit.output().0;
-        scratch
-            .get(out)
-            .cloned()
-            .unwrap_or_else(|| self.values[out as usize].clone())
-    }
-
     /// Perm gate `g` with the entry patches `scratch.perm_patches` holds
     /// for it, answered without mutation by [`PermMaint::peek`]. No
     /// duplicates are possible: every (row, col) has exactly one child
@@ -800,23 +740,34 @@ impl<S: Semiring, P: PermMaint<S>> DynEvaluator<S, P> {
         out
     }
 
-    /// [`DynEvaluator::peek`] over the **memoized cones** of the patched
-    /// slots: the union cone is the merge of the per-slot gate lists
-    /// precomputed in the plan ([`EvalPlan::with_cones`]), evaluated by
-    /// one ascending sweep — no queue, no hash map, no per-query cone
-    /// discovery. Falls back to [`DynEvaluator::peek`] when some patched
-    /// slot has no memoized cone.
+    /// Evaluate the output with some slots overwritten, **without
+    /// mutating any state** — the point query of Theorem 8, with no
+    /// update/restore cycles. Later patches to one slot win; a patch equal
+    /// to the slot's committed value changes nothing.
+    ///
+    /// Only the cones of the changed slots are re-evaluated. A slot's cone
+    /// comes from the plan when [`EvalPlan::with_cones`] memoized it and is
+    /// otherwise walked on demand through `scratch`'s [`DirtyQueue`] (the
+    /// same walk). The merged cone is evaluated by one ascending sweep;
+    /// permanent gates answer through the non-mutating [`PermMaint::peek`].
+    /// The scratch is reused across calls.
     pub fn peek_memo(&self, patches: &[(u32, S)], scratch: &mut PeekScratch<S>) -> S {
-        if patches.iter().any(|&(s, _)| !self.plan.has_cone(s)) {
-            return self.peek(patches, scratch);
-        }
         let resolved = scratch.resolve(patches);
         // Merge the cones of the effectively-changed slots.
         let mut cone = std::mem::take(&mut scratch.cone);
         cone.clear();
         for &(slot, pi) in &resolved {
-            if self.slot_values[slot as usize] != patches[pi].1 {
-                cone.extend_from_slice(self.plan.cone(slot));
+            if self.slot_values[slot as usize] == patches[pi].1 {
+                continue;
+            }
+            match self.plan.cone(slot) {
+                [] => walk_cone(
+                    &self.plan.parents,
+                    self.plan.slot_gates(slot),
+                    &mut scratch.dirty,
+                    &mut cone,
+                ),
+                memo => cone.extend_from_slice(memo),
             }
         }
         cone.sort_unstable();
@@ -849,7 +800,7 @@ impl<S: Semiring, P: PermMaint<S>> DynEvaluator<S, P> {
                         // cone decides whether any of its children are
                         // overlaid. Untouched runs sum straight off the
                         // committed value slice; touched runs gather
-                        // through the overlay lookup.
+                        // through the cone lookup.
                         let mut acc = S::zero();
                         for &(lo, len) in self.plan.add_runs(g) {
                             let hi = lo + len;
@@ -927,20 +878,6 @@ impl<S: Semiring, P: PermMaint<S>> DynEvaluator<S, P> {
         }
     }
 
-    fn mark_parents_overlay(&self, g: u32, scratch: &mut PeekScratch<S>) {
-        for &p in self.plan.parents(g) {
-            if let ParentRef::Perm { gate, row, col } = p {
-                let v = scratch
-                    .get(g)
-                    .expect("overlaid child value present")
-                    .clone();
-                let pi = self.plan.perm_index[gate as usize];
-                scratch.perm_patches.push((pi, row as u32, col, v));
-            }
-            scratch.dirty.push(p.gate());
-        }
-    }
-
     fn recompute(&self, g: u32) -> S {
         match &self.plan.circuit.gates()[g as usize] {
             GateDef::Input(_) | GateDef::Const(_) => self.values[g as usize].clone(),
@@ -953,23 +890,6 @@ impl<S: Semiring, P: PermMaint<S>> DynEvaluator<S, P> {
             GateDef::Perm { .. } => self.perms[self.plan.perm_index[g as usize] as usize]
                 .total()
                 .clone(),
-        }
-    }
-
-    /// Discovery-peek recompute. Stays a scalar gather on purpose: the
-    /// overlay is a hash map, so testing a run for overlaid children
-    /// costs as much as gathering it — the dense tier only pays off in
-    /// [`DynEvaluator::peek_memo`], where the sorted cone makes the
-    /// membership probe one binary search.
-    fn recompute_overlay(&self, g: u32, scratch: &PeekScratch<S>) -> S {
-        let eff = |gate: GateId| scratch.get(gate.0).unwrap_or(&self.values[gate.0 as usize]);
-        match &self.plan.circuit.gates()[g as usize] {
-            GateDef::Input(_) | GateDef::Const(_) => self.values[g as usize].clone(),
-            GateDef::Add(children) => {
-                sum_children(self.plan.circuit.children(*children), |c| eff(c))
-            }
-            GateDef::Mul(a, b) => eff(*a).mul(eff(*b)),
-            GateDef::Perm { .. } => unreachable!("perm gates handled in the peek loop"),
         }
     }
 }
@@ -1102,28 +1022,22 @@ impl<S> PermPatches<S> {
     }
 }
 
-/// Reusable scratch state of the zero-restore query path
-/// ([`DynEvaluator::peek`]): a value overlay over the touched gates,
-/// a flat per-query permanent patch buffer, and the dirty queue. One
-/// scratch serves any number of queries against evaluators of one
-/// circuit; `begin` clears the buffers while keeping their capacity, so
-/// the per-query cost is bounded by the scratch's high-water mark, not
-/// the circuit size.
-///
-/// The overlay is a *small* hash map (gate → value, Fx-hashed) rather
-/// than a gate-indexed array: a point query touches a query-bounded
-/// handful of gates, so the whole scratch stays cache-resident instead of
-/// striding through circuit-sized buffers.
+/// Reusable scratch of the point-query path ([`DynEvaluator::peek_memo`]):
+/// the merged cone and its values, a flat per-query permanent patch
+/// buffer, and the queue of the on-demand cone walk. One scratch serves
+/// any number of queries against evaluators of one circuit; every buffer
+/// keeps its capacity, so the per-query cost is bounded by the scratch's
+/// high-water mark, not the circuit size.
 pub struct PeekScratch<S> {
-    overlay: agq_semiring::fx::FxHashMap<u32, S>,
     /// Flat per-query patch buffer: `(perm index, row, col, value)`.
     perm_patches: Vec<(u32, u32, u32, S)>,
     /// Assembly buffer for one permanent's patches.
     perm_buf: Vec<(usize, usize, S)>,
+    /// Queue of the on-demand cone walk (empty between calls).
     dirty: DirtyQueue,
     /// Slot-dedup buffer: `(slot, index of its last patch)`.
     resolved: Vec<(u32, usize)>,
-    /// Merged-cone gate ids ([`DynEvaluator::peek_memo`]).
+    /// Merged-cone gate ids, ascending.
     cone: Vec<u32>,
     /// Values parallel to `cone`.
     cone_vals: Vec<S>,
@@ -1133,7 +1047,6 @@ impl<S> PeekScratch<S> {
     /// Empty scratch; buffers are sized on first use.
     pub fn new() -> Self {
         PeekScratch {
-            overlay: agq_semiring::fx::FxHashMap::default(),
             perm_patches: Vec::new(),
             perm_buf: Vec::new(),
             dirty: DirtyQueue::new(),
@@ -1141,12 +1054,6 @@ impl<S> PeekScratch<S> {
             cone: Vec::new(),
             cone_vals: Vec::new(),
         }
-    }
-
-    fn begin(&mut self) {
-        self.overlay.clear();
-        self.perm_patches.clear();
-        self.dirty.clear();
     }
 
     /// One `(slot, index of its last patch)` per patched slot — later
@@ -1162,14 +1069,6 @@ impl<S> PeekScratch<S> {
             }
         }
         resolved
-    }
-
-    fn set(&mut self, gate: u32, value: S) {
-        self.overlay.insert(gate, value);
-    }
-
-    fn get(&self, gate: u32) -> Option<&S> {
-        self.overlay.get(&gate)
     }
 }
 
@@ -1200,6 +1099,12 @@ mod tests {
 
     /// Σ_{i≠j} a_i·b_j circuit with 2n slots plus a final +lit.
     fn test_circuit(n: usize) -> Circuit {
+        let (b, out) = test_builder(n);
+        b.finish(out)
+    }
+
+    /// [`test_circuit`]'s builder and output gate, before `finish`.
+    fn test_builder(n: usize) -> (CircuitBuilder, GateId) {
         let mut b = CircuitBuilder::new();
         let mut flat = Vec::new();
         for i in 0..n {
@@ -1212,7 +1117,7 @@ mod tests {
         let p = b.perm_flat(2, flat);
         let l = b.lit(0);
         let s = b.add(&[p, l]);
-        b.finish(s)
+        (b, s)
     }
 
     fn reference_eval(slots: &[Nat], lit: Nat, n: usize) -> Nat {
@@ -1281,122 +1186,110 @@ mod tests {
         }
     }
 
-    #[test]
-    fn peek_restores_state() {
+    /// The reference of the one point-query path: `peek_memo` against a
+    /// from-scratch evaluation at the patched slots, over a fully
+    /// memoized, a partly memoized and a cone-less plan. Every round
+    /// peeks random patches, a duplicate slot (later wins), a patch equal
+    /// to the committed value, a slot no gate reads and the empty list,
+    /// checks that no gate value moved, then updates the base state.
+    fn peek_memo_matches_fresh<S: Semiring, P: PermMaint<S>>(
+        seed: u64,
+        gen: impl Fn(&mut SmallRng) -> S,
+    ) {
         let n = 4;
-        let circuit = Arc::new(test_circuit(n));
-        let slots: Vec<MinPlus> = (0..2 * n).map(|i| MinPlus(i as u64 + 1)).collect();
-        let mut ev: GeneralEvaluator<MinPlus> = DynEvaluator::new(circuit, &slots, &[MinPlus::INF]);
-        let before = *ev.output();
-        let _ = ev.peek_with(&[(0, MinPlus(0)), (3, MinPlus::INF)]);
-        assert_eq!(*ev.output(), before);
-    }
-
-    /// Run random overlay peeks against `peek_with` on one evaluator and
-    /// check values agree and no state changes (the evaluator is also
-    /// updated between peeks to vary the base state).
-    fn overlay_agrees_with_peek_with<P: PermMaint<Int>>(seed: u64) {
-        let n = 5;
-        let circuit = Arc::new(test_circuit(n));
+        let unread = 2 * n as u32;
+        let (mut b, out) = test_builder(n);
+        b.input(unread); // dead: `cluster_adds` drops the gate, keeps the slot
+        let circuit = Arc::new(b.finish(out).cluster_adds());
+        let all: Vec<u32> = (0..=unread).collect();
+        let even: Vec<u32> = (0..=unread).step_by(2).collect();
+        let plans = [
+            ("full", EvalPlan::with_cones(circuit.clone(), &all)),
+            ("partial", EvalPlan::with_cones(circuit.clone(), &even)),
+            ("cone-less", EvalPlan::new(circuit.clone())),
+        ];
         let mut rng = SmallRng::seed_from_u64(seed);
-        let slots: Vec<Int> = (0..2 * n).map(|_| Int(rng.gen_range(-3..4))).collect();
-        let mut ev: DynEvaluator<Int, P> = DynEvaluator::new(circuit, &slots, &[Int(2)]);
-        let mut scratch = PeekScratch::new();
-        for round in 0..40 {
-            let patches: Vec<(u32, Int)> = (0..rng.gen_range(1..4))
-                .map(|_| (rng.gen_range(0..2 * n) as u32, Int(rng.gen_range(-3..4))))
-                .collect();
-            let before = *ev.output();
-            let peeked = ev.peek(&patches, &mut scratch);
-            assert_eq!(*ev.output(), before, "overlay peek must not mutate");
-            let classic = ev.peek_with(&patches);
-            assert_eq!(peeked, classic, "round {round}: overlay vs peek_with");
-            assert_eq!(*ev.output(), before, "peek_with must restore");
-            // mutate the base state and keep going
-            let s = rng.gen_range(0..2 * n) as u32;
-            ev.set_input(s, Int(rng.gen_range(-3..4)));
+        let lits = [gen(&mut rng)];
+        for (name, plan) in plans {
+            assert!(plan.slot_gates(unread).is_empty());
+            let mut slots: Vec<S> = (0..=unread).map(|_| gen(&mut rng)).collect();
+            let mut ev: DynEvaluator<S, P> = DynEvaluator::from_plan(Arc::new(plan), &slots, &lits);
+            let mut scratch = PeekScratch::new();
+            for round in 0..30 {
+                let s = rng.gen_range(0..unread);
+                let random = (0..rng.gen_range(1..4))
+                    .map(|_| (rng.gen_range(0..unread + 1), gen(&mut rng)))
+                    .collect();
+                let cases: [Vec<(u32, S)>; 5] = [
+                    random,
+                    vec![(s, gen(&mut rng)), (1, gen(&mut rng)), (s, gen(&mut rng))],
+                    vec![(s, slots[s as usize].clone())],
+                    vec![(unread, gen(&mut rng)), (s, gen(&mut rng))],
+                    vec![],
+                ];
+                for patches in &cases {
+                    let mut patched = slots.clone();
+                    for (slot, v) in patches {
+                        patched[*slot as usize] = v.clone();
+                    }
+                    let fresh: DynEvaluator<S, P> =
+                        DynEvaluator::new(circuit.clone(), &patched, &lits);
+                    let before = ev.gate_values().to_vec();
+                    let got = ev.peek_memo(patches, &mut scratch);
+                    assert_eq!(
+                        got,
+                        *fresh.output(),
+                        "{name} plan, round {round}: {patches:?}"
+                    );
+                    assert_eq!(ev.gate_values(), &before[..], "peek_memo must not mutate");
+                }
+                let v = gen(&mut rng);
+                slots[s as usize] = v.clone();
+                ev.set_input(s, v);
+            }
         }
     }
 
+    // `peek_memo`'s cone values overlay the committed ones; one table per
+    // maintenance backend.
     #[test]
     fn overlay_peek_general_backend() {
-        overlay_agrees_with_peek_with::<SegTreePerm<Int>>(31);
+        peek_memo_matches_fresh::<MinPlus, SegTreePerm<MinPlus>>(31, |r| {
+            if r.gen_bool(0.2) {
+                MinPlus::INF
+            } else {
+                MinPlus(r.gen_range(1..9))
+            }
+        });
     }
 
     #[test]
     fn overlay_peek_ring_backend() {
-        overlay_agrees_with_peek_with::<RingMaint<Int>>(32);
+        peek_memo_matches_fresh::<Int, RingMaint<Int>>(32, |r| Int(r.gen_range(-3..4)));
     }
 
     #[test]
     fn overlay_peek_finite_backend() {
-        // Nat is not finite; use Bool for the finite backend instead.
-        let n = 5;
-        let circuit = Arc::new(test_circuit(n));
-        let mut rng = SmallRng::seed_from_u64(33);
-        let slots: Vec<Bool> = (0..2 * n).map(|_| Bool(rng.gen_bool(0.5))).collect();
-        let mut ev: FiniteEvaluator<Bool> = DynEvaluator::new(circuit, &slots, &[Bool(true)]);
-        let mut scratch = PeekScratch::new();
-        for _ in 0..40 {
-            let patches: Vec<(u32, Bool)> = (0..rng.gen_range(1..4))
-                .map(|_| (rng.gen_range(0..2 * n) as u32, Bool(rng.gen_bool(0.5))))
-                .collect();
-            let before = *ev.output();
-            let peeked = ev.peek(&patches, &mut scratch);
-            assert_eq!(*ev.output(), before);
-            assert_eq!(peeked, ev.peek_with(&patches));
-            let s = rng.gen_range(0..2 * n) as u32;
-            ev.set_input(s, Bool(rng.gen_bool(0.5)));
-        }
-    }
-
-    #[test]
-    fn memoized_cone_peek_matches_discovery_peek() {
-        let n = 5;
-        let circuit = Arc::new(test_circuit(n));
-        let all_slots: Vec<u32> = (0..2 * n as u32).collect();
-        let plan = Arc::new(EvalPlan::with_cones(circuit, &all_slots));
-        let mut rng = SmallRng::seed_from_u64(41);
-        let slots: Vec<Int> = (0..2 * n).map(|_| Int(rng.gen_range(-3..4))).collect();
-        let mut ev: DynEvaluator<Int, RingMaint<Int>> =
-            DynEvaluator::from_plan(plan, &slots, &[Int(2)]);
-        let mut scratch = PeekScratch::new();
-        let mut scratch2 = PeekScratch::new();
-        for round in 0..60 {
-            let patches: Vec<(u32, Int)> = (0..rng.gen_range(1..4))
-                .map(|_| (rng.gen_range(0..2 * n) as u32, Int(rng.gen_range(-3..4))))
-                .collect();
-            let before = *ev.output();
-            let memo = ev.peek_memo(&patches, &mut scratch);
-            assert_eq!(*ev.output(), before, "peek_memo must not mutate");
-            let disc = ev.peek(&patches, &mut scratch2);
-            assert_eq!(memo, disc, "round {round}: cone sweep vs discovery");
-            // duplicate-slot patches: later wins in both paths
-            let dup = vec![(0u32, Int(5)), (0u32, slots[0])];
-            assert_eq!(
-                ev.peek_memo(&dup, &mut scratch),
-                ev.peek(&dup, &mut scratch2)
-            );
-            let s = rng.gen_range(0..2 * n) as u32;
-            ev.set_input(s, Int(rng.gen_range(-3..4)));
-        }
+        peek_memo_matches_fresh::<Bool, FiniteMaint<Bool>>(33, |r| Bool(r.gen_bool(0.5)));
     }
 
     #[test]
     fn peek_memo_falls_back_without_cones() {
+        // Only slot 0's cone is memoized: slot 1's is walked on demand and
+        // merged with it.
         let n = 4;
         let circuit = Arc::new(test_circuit(n));
-        // cones only for slot 0; patching slot 1 must fall back to peek
         let plan = Arc::new(EvalPlan::with_cones(circuit, &[0]));
-        assert!(plan.has_cone(0));
-        assert!(!plan.has_cone(1));
+        assert!(!plan.cone(0).is_empty());
+        assert!(plan.cone(1).is_empty());
         let slots: Vec<Nat> = (0..2 * n).map(|i| Nat(i as u64 % 3 + 1)).collect();
         let ev: GeneralEvaluator<Nat> = DynEvaluator::from_plan(plan, &slots, &[Nat(1)]);
-        let mut scratch = PeekScratch::new();
-        let patches = [(1u32, Nat(9))];
+        let mut patched = slots.clone();
+        patched[0] = Nat(2);
+        patched[1] = Nat(9);
         assert_eq!(
-            ev.peek_memo(&patches, &mut scratch),
-            ev.peek(&patches, &mut PeekScratch::new())
+            ev.peek_memo(&[(0, Nat(2)), (1, Nat(9))], &mut PeekScratch::new()),
+            reference_eval(&patched, Nat(1), n)
         );
     }
 
@@ -1563,21 +1456,5 @@ mod tests {
         let before = *ev.output();
         ev.set_inputs(&[]);
         assert_eq!(*ev.output(), before);
-    }
-
-    #[test]
-    fn peek_alloc_matches_scratch_reuse() {
-        let n = 4;
-        let circuit = Arc::new(test_circuit(n));
-        let slots: Vec<Nat> = (0..2 * n).map(|i| Nat(i as u64 % 3)).collect();
-        let ev: GeneralEvaluator<Nat> = DynEvaluator::new(circuit, &slots, &[Nat(1)]);
-        let patches = [(0u32, Nat(7)), (5u32, Nat(0))];
-        let mut scratch = PeekScratch::new();
-        assert_eq!(
-            ev.peek(&patches, &mut scratch),
-            ev.peek(&patches, &mut PeekScratch::new())
-        );
-        // empty patch list returns the current output
-        assert_eq!(ev.peek(&[], &mut scratch), *ev.output());
     }
 }

@@ -4,7 +4,7 @@
 //! # Kernel contract (fold order and when bulk paths engage)
 //!
 //! Every add-gate sum in the engine — one-shot [`eval_gates`], the dynamic
-//! evaluator's recompute/drain, the peek overlays, and the enumeration
+//! evaluator's recompute/drain, the point-query peek, and the enumeration
 //! count side — produces values **bit-identical** to the *canonical fold*:
 //! the 4-lane chunked accumulation of [`agq_semiring::lane_sum_slice`]
 //! (element `4k+j` → lane `j`, lanes merged `(l0+l1)+(l2+l3)`, tail
@@ -90,7 +90,7 @@ pub(crate) fn sum_add<S: Semiring>(kids: &[GateId], runs: &[(u32, u32)], values:
 /// fan-in sums (the domain-sized aggregates at the circuit root) pipeline
 /// instead of serializing on one accumulator. Every evaluation path —
 /// one-shot [`eval_gates`], the dynamic evaluator's recompute, and the
-/// peek overlays — sums through this helper, so add-gate values are
+/// point-query peek — sums through this helper, so add-gate values are
 /// bit-identical across paths even for non-associative carriers (floats).
 pub(crate) fn sum_children<'a, S, F>(children: &[GateId], get: F) -> S
 where

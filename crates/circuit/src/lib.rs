@@ -39,13 +39,15 @@
 //!
 //! [`DynEvaluator::set_input`] mutates persistent state and repairs the
 //! affected cone. Point queries, however, only need the output *as if*
-//! some inputs were patched: [`DynEvaluator::peek`] evaluates exactly the
-//! query-bounded cone above the patched slots into a reusable
-//! [`PeekScratch`] overlay — no state is written, nothing is restored,
-//! and permanent gates answer through the non-mutating
-//! [`PermMaint::peek`]. This halves the maintenance-structure work of the
-//! classic `2|x̄|`-update trick (`peek_with`) and, taking `&self`, makes
-//! batched and concurrent point queries possible.
+//! some inputs were patched, and [`DynEvaluator::peek_memo`] is the one
+//! way to read it: it re-evaluates exactly the cone above the patched
+//! slots, in one ascending sweep, into a reusable [`PeekScratch`]. A
+//! slot's cone comes from the plan when memoized and is otherwise walked
+//! on demand through a [`DirtyQueue`] — the same walk the plan memoizes
+//! with. No state is written, nothing is restored, and permanent gates
+//! answer through the non-mutating [`PermMaint::peek`], where the proof
+//! of Theorem 8 runs `2|x̄|` update/restore cycles. Taking `&self`, the
+//! read also makes batched and concurrent point queries possible.
 //!
 //! # Plan/state split
 //!
@@ -60,11 +62,10 @@
 //! **one** adjacency of the stack: the free-semiring machine of
 //! `agq-enumerate` reads [`EvalPlan::parents`] /
 //! [`EvalPlan::slot_gates`] / [`EvalPlan::perm_index`] instead of
-//! deriving its own, and every sweep — update, delta, discovery peek,
-//! support — is scheduled by one [`DirtyQueue`].
-//! With cones memoized ([`EvalPlan::with_cones`]),
-//! [`DynEvaluator::peek_memo`] answers point queries by a single
-//! topological sweep of the precomputed cone.
+//! deriving its own, and every sweep — update, delta, support — and every
+//! cone walk is scheduled by one [`DirtyQueue`].
+//! [`EvalPlan::with_cones`] memoizes the cones of the slots point queries
+//! patch, so [`DynEvaluator::peek_memo`] skips the walk for them.
 //!
 //! # Vectorized sweeps
 //!

@@ -16,7 +16,8 @@
 //!    (dense runs → bulk tier);
 //! 3. the three dynamic backends (`GeneralEvaluator`, `RingEvaluator`,
 //!    `FiniteEvaluator`) after random post-build update sweeps;
-//! 4. `peek_memo` overlays against a patched reference evaluation.
+//! 4. `peek_memo` over memoized and walked cones against a patched
+//!    reference evaluation.
 //!
 //! The same random circuits (plus one with permanent gates) pin the
 //! **topology contract** of [`EvalPlan`] — the one adjacency every sweep,
@@ -288,8 +289,11 @@ proptest! {
         check_topology(circuit);
     }
 
-    /// Memoized peeks over the dense-run plan ≡ reference evaluation of
-    /// the patched inputs (overlay-aware dense tier soundness).
+    /// `peek_memo` over the dense-run circuit ≡ reference evaluation of
+    /// the patched inputs, bit-for-bit, with every cone memoized in the
+    /// plan and with every cone walked on demand — for the bit-compared
+    /// float carrier (`sum_children`) and for the order-insensitive ℕ
+    /// carrier (per-run sums behind one probe into the merged cone).
     #[test]
     fn peek_memo_matches_patched_reference(
         n_inputs in 2u32..10,
@@ -298,10 +302,12 @@ proptest! {
         patches in pvec((any::<u16>(), any::<u16>()), 1..6),
     ) {
         let circuit = Arc::new(build_circuit(n_inputs, &ops).cluster_adds());
+        let all_slots: Vec<u32> = (0..n_inputs).collect();
+        let plans = [
+            Arc::new(EvalPlan::with_cones(circuit.clone(), &all_slots)),
+            Arc::new(EvalPlan::new(circuit.clone())),
+        ];
         let slots = f64_slots(n_inputs, salt);
-        let ev: GeneralEvaluator<F64> = DynEvaluator::new(circuit.clone(), &slots, &[]);
-        let mut scratch = PeekScratch::new();
-
         let patches: Vec<(u32, F64)> = patches
             .iter()
             .enumerate()
@@ -310,14 +316,28 @@ proptest! {
                 (slot, F64(f64::from(*val) * 0.0625 + f64::from(i as u32)))
             })
             .collect();
+        let nat = |x: F64| Nat(x.0.to_bits() % 1000);
+        let nat_slots: Vec<Nat> = slots.iter().map(|&x| nat(x)).collect();
+        let nat_patches: Vec<(u32, Nat)> = patches.iter().map(|&(s, x)| (s, nat(x))).collect();
         let mut patched = slots.clone();
         for (slot, val) in &patches {
             patched[*slot as usize] = *val;
         }
+        let nat_patched: Vec<Nat> = patched.iter().map(|&x| nat(x)).collect();
         let want = reference_eval(&circuit, &patched).last().unwrap().0.to_bits();
-        prop_assert_eq!(ev.peek_memo(&patches, &mut scratch).0.to_bits(), want);
-        // Baseline (committed) values must be untouched by the peek.
-        prop_assert_eq!(bits(ev.gate_values()), bits(&reference_eval(&circuit, &slots)));
+        let nat_want = *reference_eval(&circuit, &nat_patched).last().unwrap();
+
+        for plan in plans {
+            let ev: GeneralEvaluator<F64> = DynEvaluator::from_plan(plan.clone(), &slots, &[]);
+            let mut scratch = PeekScratch::new();
+            prop_assert_eq!(ev.peek_memo(&patches, &mut scratch).0.to_bits(), want);
+            // Baseline (committed) values must be untouched by the peek.
+            prop_assert_eq!(bits(ev.gate_values()), bits(&reference_eval(&circuit, &slots)));
+
+            let ev: GeneralEvaluator<Nat> = DynEvaluator::from_plan(plan, &nat_slots, &[]);
+            prop_assert_eq!(ev.peek_memo(&nat_patches, &mut PeekScratch::new()), nat_want);
+            prop_assert_eq!(ev.gate_values(), &reference_eval(&circuit, &nat_slots)[..]);
+        }
     }
 }
 

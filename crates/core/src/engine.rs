@@ -126,11 +126,11 @@ impl std::error::Error for PartsError {}
 ///   permanents), tight by Proposition 14.
 /// * Rings and finite semirings: `O(1)` per query/update.
 ///
-/// Point queries run over a non-mutating overlay ([`DynEvaluator::peek`]):
-/// the `v_i` indicator slots of the queried tuple are patched only inside
-/// the query-bounded cone, so nothing is committed or rolled back —
-/// roughly half the maintenance work of the classic `2|x̄|`-update trick
-/// (kept as [`QueryEngine::query_via_updates`] for comparison).
+/// Point queries read the output with the queried tuple's `v_i`
+/// indicator slots patched ([`DynEvaluator::peek_memo`]): only the
+/// query-bounded cone above those slots is re-evaluated and nothing is
+/// committed or rolled back, where the proof of Theorem 8 runs `2|x̄|`
+/// update/restore cycles.
 pub struct QueryEngine<S: Semiring, P: PermMaint<S>> {
     compiled: Arc<CompiledQuery<S>>,
     eval: DynEvaluator<S, P>,
@@ -283,10 +283,10 @@ impl<S: Semiring, P: PermMaint<S>> QueryEngine<S, P> {
         self.eval.output()
     }
 
-    /// Value at a free-variable tuple, via the zero-restore overlay: the
-    /// `v_i` indicator slots are patched to `1` only inside the
-    /// query-bounded cone — which is memoized in the plan, so the query
-    /// is one topological sweep with no state mutation or restore pass.
+    /// Value at a free-variable tuple: the output with the `v_i`
+    /// indicator slots patched to `1`, read by one topological sweep of
+    /// their cone (memoized in the plan) with no state mutation or
+    /// restore pass.
     pub fn query(&mut self, tuple: &[Elem]) -> S {
         let mut patches = std::mem::take(&mut self.patch_buf);
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -317,10 +317,9 @@ impl<S: Semiring, P: PermMaint<S>> QueryEngine<S, P> {
     /// [`QueryEngine::query`] over `tuples`, with per-query setup
     /// amortized across one reusable scratch per worker.
     ///
-    /// Because the zero-restore overlay never mutates the evaluator, the
-    /// batch fans out over one worker per available core — something the
-    /// classic update/restore path structurally cannot do. Results are
-    /// returned in input order regardless.
+    /// Because a point query never mutates the evaluator, the batch fans
+    /// out over one worker per available core. Results are returned in
+    /// input order regardless.
     pub fn query_batch(&self, tuples: &[&[Elem]]) -> Vec<S>
     where
         P: Sync,
@@ -347,17 +346,6 @@ impl<S: Semiring, P: PermMaint<S>> QueryEngine<S, P> {
                 .flat_map(|h| h.join().expect("batch worker"))
                 .collect()
         })
-    }
-
-    /// Value at a free-variable tuple via the classic `2|x̄|`
-    /// update/restore cycles of the Theorem 8 proof. Kept as the measured
-    /// baseline of the zero-restore path; prefer [`QueryEngine::query`].
-    pub fn query_via_updates(&mut self, tuple: &[Elem]) -> S {
-        let mut patches = Vec::with_capacity(tuple.len());
-        match self.free_var_patches(tuple, &mut patches) {
-            true => self.eval.peek_with(&patches),
-            false => S::zero(),
-        }
     }
 
     /// Build the `v_i(a) := 1` patch list for `tuple`; false when some

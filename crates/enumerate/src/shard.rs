@@ -578,6 +578,7 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
     }
 
     fn query_inner(&self, tuple: &[Elem]) -> (S, Vec<usize>) {
+        self.check_arity(tuple);
         match self.route(tuple) {
             Route::Cross | Route::Unknown => (S::zero(), Vec::new()),
             Route::Shard(s) => match self.read_shard(s) {
@@ -592,6 +593,13 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
                 Err(s) => (S::zero(), vec![s]),
             },
         }
+    }
+
+    /// Panic on a point-query tuple of the wrong length, as the flat
+    /// engine does — before routing, which would otherwise answer a
+    /// cross-shard or unowned tuple zero whatever its length.
+    fn check_arity(&self, tuple: &[Elem]) {
+        assert_eq!(tuple.len(), self.arity, "query tuple arity mismatch");
     }
 
     /// Wrap what an `*_inner` read body computed under one snapshot — the
@@ -655,6 +663,9 @@ impl<S: Semiring, P: PermMaint<S>> ShardedEngine<S, P> {
     where
         P: Send + Sync,
     {
+        for t in tuples {
+            self.check_arity(t);
+        }
         // Group tuple indices by shard; resolve cross-shard tuples inline.
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         let mut out: Vec<Option<S>> = vec![None; tuples.len()];

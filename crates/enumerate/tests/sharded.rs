@@ -193,6 +193,59 @@ fn sharded_differential_finite() {
     sharded_matches_unsharded::<Bool, FiniteMaint<Bool>, _>(9, || Bool(true));
 }
 
+/// A wrong-length tuple panics on every sharded point read with the flat
+/// engine's message, even when its elements span shards — routing first
+/// would answer such a tuple zero.
+#[test]
+fn sharded_point_reads_reject_wrong_arity() {
+    let w = clustered_world(2, 4, 21);
+    let (x, y) = (Var(0), Var(1));
+    let phi = Formula::Rel(w.e, vec![x, y]).and(Formula::Rel(w.s, vec![x]));
+    let opts = CompileOptions::default();
+    let sharded: ShardedEngine<Nat, SegTreePerm<Nat>> =
+        ShardedEngine::build(&w.a, &phi, &opts, 2).unwrap();
+    let mut flat: EnumQueryEngine<Nat, SegTreePerm<Nat>> =
+        EnumQueryEngine::build_dynamic(&w.a, &phi, &opts).unwrap();
+    assert_eq!((sharded.num_shards(), sharded.arity()), (2, 2));
+    let spanning: [Elem; 3] = [0, 4, 1];
+    let components = sharded.components();
+    assert_ne!(
+        components.shard_of(0),
+        components.shard_of(4),
+        "tuple spans shards"
+    );
+
+    let panic_message = |read: &mut dyn FnMut()| -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(read))
+            .expect_err("a wrong-length tuple must panic");
+        match err.downcast::<String>() {
+            Ok(s) => *s,
+            Err(err) => err.downcast::<&str>().map(|s| s.to_string()).unwrap(),
+        }
+    };
+    let expected = panic_message(&mut || {
+        flat.query(&spanning);
+    });
+    assert!(
+        expected.contains("query tuple arity mismatch"),
+        "{expected}"
+    );
+    let reads: [(&str, &mut dyn FnMut()); 3] = [
+        ("query", &mut || {
+            sharded.query(&spanning);
+        }),
+        ("try_query", &mut || {
+            let _ = sharded.try_query(&spanning);
+        }),
+        ("query_batch", &mut || {
+            sharded.query_batch(&[&[0, 1], &spanning]);
+        }),
+    ];
+    for (name, read) in reads {
+        assert_eq!(panic_message(read), expected, "{name}");
+    }
+}
+
 /// The fallback path must stay correct: a non-component-local formula
 /// (negated atom) runs on one shard and still matches the flat engine.
 #[test]
