@@ -169,9 +169,10 @@ impl CircuitBuilder {
     /// Permanent gate over columns of height `rows`.
     ///
     /// Structural pruning: columns that are all-zero are dropped (they can
-    /// never be selected); if fewer columns than rows remain, the permanent
-    /// is structurally zero. A 1-row permanent over a single column is that
-    /// column's entry; a 0-row permanent is `1`.
+    /// never be selected); if fewer columns than rows remain, or some row
+    /// is all-zero (every term of the permanent takes one cell of each
+    /// row), the permanent is structurally zero. A 1-row permanent over a
+    /// single column is that column's entry; a 0-row permanent is `1`.
     pub fn perm(&mut self, rows: usize, cols: &[[GateId; 2]]) -> GateId
     where
         [GateId; 2]: Sized,
@@ -200,7 +201,8 @@ impl CircuitBuilder {
         }
         flat.truncate(write);
         let n = flat.len() / rows;
-        if n < rows {
+        let zero_row = |r: usize| flat[r..].iter().step_by(rows).all(|&g| self.is_zero(g));
+        if n < rows || (0..rows).any(zero_row) {
             return self.zero();
         }
         if rows == 1 && n == 1 {
@@ -286,6 +288,22 @@ mod tests {
         // 2 rows but only one nonzero column
         let p = b.perm_flat(2, vec![x, x, z, z]);
         assert!(b.is_zero(p));
+    }
+
+    #[test]
+    fn perm_with_an_all_zero_row_is_zero() {
+        let mut b = CircuitBuilder::new();
+        let x = b.input(0);
+        let y = b.input(1);
+        let z = b.zero();
+        // columns [x, 0], [y, 0], [x, 0]: no column is all-zero, row 1 is
+        let p = b.perm_flat(2, vec![x, z, y, z, x, z]);
+        assert!(b.is_zero(p));
+        // a zero cell off an all-zero row still leaves a live permanent
+        let q = b.perm_flat(2, vec![x, z, z, y]);
+        assert!(!b.is_zero(q));
+        let c = b.finish(q);
+        assert_eq!(c.eval(&[Nat(3), Nat(4)], &[]), Nat(12));
     }
 
     #[test]

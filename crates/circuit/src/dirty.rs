@@ -12,14 +12,13 @@
 //! The representation is a min-heap that admits duplicates and drops them
 //! when they surface. It is private to this type on purpose: a
 //! duplicate-free representation (one bit per gate, word-scan pop — see
-//! ROADMAP item 4) is a change to this file alone.
+//! ROADMAP item 6) is a change to this file alone.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// A set of gate ids popped in ascending order, each at most once per
-/// drain. Reusable: a drained or [cleared](DirtyQueue::clear) queue keeps
-/// its capacity.
+/// drain. Reusable: a drained queue keeps its capacity.
 #[derive(Debug, Default)]
 pub struct DirtyQueue {
     heap: BinaryHeap<Reverse<u32>>,
@@ -47,11 +46,6 @@ impl DirtyQueue {
             self.heap.pop();
         }
         Some(gate)
-    }
-
-    /// Forget every waiting gate.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -91,7 +85,7 @@ mod tests {
     }
 
     #[test]
-    fn reusable_after_drain_and_after_clear() {
+    fn reusable_after_drain() {
         let mut q = DirtyQueue::new();
         q.push(5);
         q.push(5);
@@ -99,13 +93,5 @@ mod tests {
         q.push(2);
         q.push(6);
         assert_eq!(drain(&mut q), [2, 6], "after a drain");
-        q.push(4);
-        q.push(1);
-        q.clear();
-        assert_eq!(q.pop(), None, "clear forgets waiting gates");
-        q.push(4);
-        q.push(3);
-        q.push(4);
-        assert_eq!(drain(&mut q), [3, 4], "after clear");
     }
 }

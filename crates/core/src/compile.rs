@@ -2,7 +2,25 @@
 //!
 //! Compilation decomposes over color sets `D` (identity (12)–(13) of the
 //! paper): each `D` contributes an independent family of gates, built
-//! against the DFS forest of `G[D]`. That independence is exploited twice:
+//! against the DFS forest of `G[D]`.
+//!
+//! **Colorful trees.** The colorings summed over are *surjective* onto
+//! `D`, so a tuple is counted under its exact color set only: `D` is the
+//! set of its elements' colors. Call a term *connected* when its positive
+//! atoms and weight factors link all of its variables. Each link is an
+//! atom or weight that is zero unless its elements form a tuple of the
+//! structure (a Gaifman clique), so a tuple a connected term does not send
+//! to zero spans a connected subgraph of `G[D]`. It lies inside one tree
+//! of the DFS forest, and that tree carries every color of `D`. When every
+//! term is connected, the forest therefore keeps only such *colorful*
+//! trees: on reg4 `twopath` that is ≈ 23 of 562 forest nodes per element.
+//! The depth cap and [`CompileReport::max_forest_depth`] still measure the
+//! whole forest. A query with any term that is not connected compiles on
+//! every tree: `E(x,y) & S(z)`, a term whose only link to a variable is a
+//! negated atom or `≠`, and a query tuple padded with a variable the term
+//! does not constrain (see [`compile_query`]).
+//!
+//! The independence of the color sets is exploited twice:
 //!
 //! * **sequentially**, each `(D, term)` unit is instantiated straight into
 //!   the main builder;
@@ -73,11 +91,12 @@ impl Default for CompileOptions {
 pub struct CompileReport {
     /// Colors used by the low-treedepth coloring.
     pub num_colors: u32,
-    /// Color sets visited.
+    /// Color sets `D` whose `G[D]` is non-empty.
     pub num_subsets: usize,
     /// Shapes instantiated (over all terms, sets, surjections).
     pub shapes_instantiated: usize,
-    /// Deepest DFS forest over the visited color sets.
+    /// Deepest DFS forest over the visited color sets, measured over every
+    /// tree of `G[D]`, also the trees a connected query does not compile on.
     pub max_forest_depth: u32,
     /// Structural circuit statistics.
     pub stats: CircuitStats,
@@ -213,14 +232,23 @@ pub fn compile_query<S: Semiring>(
     // of G[D] once and instantiate every compatible (term, surjection,
     // shape) triple — identity (12)–(13) of the paper.
     let num_colors = coloring.num_colors as usize;
+    let sets = num_color_sets(num_colors, p);
+    if sets > MAX_COLOR_SETS {
+        return Err(CompileError::TooManyColorSets {
+            sets,
+            cap: MAX_COLOR_SETS,
+        });
+    }
     let mut subset: Vec<u32> = Vec::new();
-    let mut subsets: Vec<Vec<u32>> = Vec::new();
+    let mut subsets: Vec<Vec<u32>> = Vec::with_capacity(sets);
     enumerate_subsets(num_colors, p, &mut subset, 0, &mut subsets);
 
     let shared = Shared {
         a,
         gaifman: &gaifman,
         colors: &coloring.colors,
+        classes: &classes,
+        colorful_only: all_terms_connected(&dterms),
         opts,
         dterms: &dterms,
         plan_cache: Mutex::new(FxHashMap::default()),
@@ -239,48 +267,31 @@ pub fn compile_query<S: Semiring>(
         let mut forest = SubForest::new(a.domain_size());
         let mut ctx = InstCtx::new();
         for d_set in &subsets {
-            forest.build(
-                &gaifman,
-                d_set.iter().map(|&c| classes[c as usize].as_slice()),
-                &coloring.colors,
-                d_set,
-            );
+            let Some(depth) = shared.build_forest(&mut forest, d_set)? else {
+                continue;
+            };
+            report.num_subsets += 1;
+            report.max_forest_depth = report.max_forest_depth.max(depth);
             if forest.preorder.is_empty() {
-                forest.reset();
+                forest.reset(); // every tree lacked a color of D
                 continue;
             }
-            report.num_subsets += 1;
-            let depth = forest.max_depth;
-            if depth > opts.depth_cap {
-                forest.reset();
-                return Err(CompileError::DepthCapExceeded {
-                    depth,
-                    cap: opts.depth_cap,
-                });
-            }
-            report.max_forest_depth = report.max_forest_depth.max(depth);
             ctx.begin_dset();
             for (ti, dt) in dterms.iter().enumerate() {
                 if dt.k < d_set.len() || dt.k == 0 {
                     continue;
                 }
-                let tops = match instantiate_term(
+                let tops = instantiate_term(
                     &shared,
                     &forest,
-                    depth as u8,
+                    forest.kept_depth as u8,
                     d_set,
                     ti,
                     dt,
                     &mut emit,
                     &mut ctx,
                     &mut report.shapes_instantiated,
-                ) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        forest.reset();
-                        return Err(e);
-                    }
-                };
+                )?;
                 push_term_sum(&mut emit.builder, coeff_gate[ti], &tops, &mut top_gates);
             }
             forest.reset();
@@ -291,7 +302,6 @@ pub fn compile_query<S: Semiring>(
         let next = AtomicUsize::new(0);
         let results: Vec<Mutex<Option<Result<DsetOut, CompileError>>>> =
             (0..subsets.len()).map(|_| Mutex::new(None)).collect();
-        let colors = &coloring.colors;
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
@@ -302,14 +312,7 @@ pub fn compile_query<S: Semiring>(
                         if idx >= subsets.len() {
                             break;
                         }
-                        let out = process_dset_unit(
-                            &shared,
-                            &mut forest,
-                            &mut ctx,
-                            &subsets[idx],
-                            &classes,
-                            colors,
-                        );
+                        let out = process_dset_unit(&shared, &mut forest, &mut ctx, &subsets[idx]);
                         *results[idx].lock().expect("result lock") = Some(out);
                     }
                 });
@@ -361,6 +364,60 @@ fn push_term_sum(
         let gated = builder.mul(coeff, sum);
         top_gates.push(gated);
     }
+}
+
+/// The most color sets a compilation may enumerate. The list of sets is
+/// built up front, one heap-allocated set each, so the count is checked
+/// before the first allocation: `E(w,x) & E(x,y) & E(y,z)` (p = 4) on a
+/// 4-regular graph of 256 vertices gets ≈ 233 colors and ≈ 1.2 × 10⁸ sets,
+/// and aborted in the allocator before this check. The cap sits far above
+/// what the test suites and examples reach (at most 13 287 sets) and the
+/// benchmark's `twopath` on reg4 (6 579 to 9 919), and above the 679 120
+/// sets of the same p = 4 query on a 64-vertex 4-regular graph, which
+/// compiles in ≈ 2 s; the 10.3 M sets at 128 vertices took ≈ 10 s and are
+/// refused.
+pub(crate) const MAX_COLOR_SETS: usize = 1 << 22;
+
+/// `Σ_{1 ≤ i ≤ p} C(num_colors, i)`, the number of color sets
+/// [`enumerate_subsets`] lists, saturating at `usize::MAX`.
+fn num_color_sets(num_colors: usize, p: usize) -> usize {
+    let mut total = 0usize;
+    let mut binom = 1u128; // C(num_colors, i)
+    for i in 1..=p.min(num_colors) {
+        // C(c, i) = C(c, i − 1) · (c − i + 1) / i, exact at every step
+        binom = match binom.checked_mul((num_colors - i + 1) as u128) {
+            Some(x) => x / i as u128,
+            None => return usize::MAX,
+        };
+        total = total.saturating_add(usize::try_from(binom).unwrap_or(usize::MAX));
+    }
+    total
+}
+
+/// Whether every term with variables is *connected*: its positive atoms
+/// and weight factors, which `expand_distinct` records as
+/// [`DistinctTerm::comparability`], link all of its variables. Negated
+/// atoms and `≠` do not link.
+fn all_terms_connected<S>(dterms: &[DistinctTerm<S>]) -> bool {
+    dterms.iter().all(|d| {
+        // union-find over the term's ≤ 8 variables
+        let mut root: Vec<u8> = (0..d.k as u8).collect();
+        fn find(root: &[u8], mut v: u8) -> u8 {
+            while root[v as usize] != v {
+                v = root[v as usize];
+            }
+            v
+        }
+        let mut components = d.k;
+        for &(a, b) in &d.comparability {
+            let (ra, rb) = (find(&root, a), find(&root, b));
+            if ra != rb {
+                root[ra as usize] = rb;
+                components -= 1;
+            }
+        }
+        components <= 1
+    })
 }
 
 fn enumerate_subsets(
@@ -626,6 +683,11 @@ struct Shared<'a, S> {
     a: &'a Structure,
     gaifman: &'a Graph,
     colors: &'a [u32],
+    /// Members of each color class.
+    classes: &'a [Vec<u32>],
+    /// Every term is connected ([`all_terms_connected`]), so each forest
+    /// keeps only the trees that carry every color of `D`.
+    colorful_only: bool,
     opts: &'a CompileOptions,
     dterms: &'a [DistinctTerm<S>],
     /// `(term index, forest depth)` → analyzed shapes.
@@ -635,6 +697,37 @@ struct Shared<'a, S> {
 }
 
 impl<S: Semiring> Shared<'_, S> {
+    /// Build the DFS forest of `G[D]` into `forest` and hold it to the
+    /// depth cap. Returns the depth of the whole forest (dropped trees
+    /// included), or `None` when `G[D]` is empty. On `Ok(Some(_))` the
+    /// caller resets `forest`; otherwise it is reset already.
+    fn build_forest(
+        &self,
+        forest: &mut SubForest,
+        d_set: &[u32],
+    ) -> Result<Option<u32>, CompileError> {
+        forest.build(
+            self.gaifman,
+            d_set.iter().map(|&c| self.classes[c as usize].as_slice()),
+            self.colors,
+            d_set,
+            self.colorful_only,
+        );
+        let depth = forest.max_depth;
+        if forest.preorder.is_empty() && forest.dropped.is_empty() {
+            forest.reset();
+            return Ok(None);
+        }
+        if depth > self.opts.depth_cap {
+            forest.reset();
+            return Err(CompileError::DepthCapExceeded {
+                depth,
+                cap: self.opts.depth_cap,
+            });
+        }
+        Ok(Some(depth))
+    }
+
     fn plans_for(
         &self,
         ti: usize,
@@ -849,38 +942,25 @@ fn process_dset_unit<S: Semiring>(
     forest: &mut SubForest,
     ctx: &mut InstCtx,
     d_set: &[u32],
-    classes: &[Vec<u32>],
-    colors: &[u32],
 ) -> Result<DsetOut, CompileError> {
-    forest.build(
-        shared.gaifman,
-        d_set.iter().map(|&c| classes[c as usize].as_slice()),
-        colors,
-        d_set,
-    );
-    if forest.preorder.is_empty() {
-        forest.reset();
+    let Some(depth) = shared.build_forest(forest, d_set)? else {
         return Ok(DsetOut {
             num_subsets: 0,
             shapes_instantiated: 0,
             forest_depth: 0,
             term_units: Vec::new(),
         });
-    }
-    let depth = forest.max_depth;
-    if depth > shared.opts.depth_cap {
-        forest.reset();
-        return Err(CompileError::DepthCapExceeded {
-            depth,
-            cap: shared.opts.depth_cap,
-        });
-    }
+    };
     let mut out = DsetOut {
         num_subsets: 1,
         shapes_instantiated: 0,
         forest_depth: depth,
         term_units: Vec::new(),
     };
+    if forest.preorder.is_empty() {
+        forest.reset(); // every tree lacked a color of D
+        return Ok(out);
+    }
     ctx.begin_dset();
     for (ti, dt) in shared.dterms.iter().enumerate() {
         if dt.k < d_set.len() || dt.k == 0 {
@@ -890,7 +970,7 @@ fn process_dset_unit<S: Semiring>(
         let tops = match instantiate_term(
             shared,
             forest,
-            depth as u8,
+            forest.kept_depth as u8,
             d_set,
             ti,
             dt,
@@ -1316,17 +1396,30 @@ fn resolve_tuple(forest: &SubForest, u: u32, depths: &[u8], out: &mut Vec<Elem>)
 /// DFS spanning forest of the subgraph induced by a set of color classes,
 /// with buffers reused across color sets (resetting only touched nodes,
 /// so one pass over a color set costs `O(|A_D| + edges(A_D))`, not `O(n)`).
+///
+/// Built with `colorful_only`, the forest keeps only the trees that carry
+/// every color of `D`: the nodes of every other tree move to `dropped`,
+/// and the preorder, roots, buckets and `kept_depth` describe the kept
+/// trees alone. `max_depth` still measures every tree of `G[D]`.
 struct SubForest {
     parent: Vec<u32>,
     depth: Vec<u32>,
     active: Vec<bool>,
     visited: Vec<bool>,
     children: Vec<Vec<u32>>,
+    /// Nodes of the kept trees in DFS preorder.
     preorder: Vec<u32>,
     /// Position of each node in `preorder` (dense-table index).
     pos: Vec<u32>,
     roots: Vec<u32>,
+    /// Deepest node of the whole forest of `G[D]`, dropped trees included:
+    /// the depth the depth cap and [`CompileReport::max_forest_depth`] see.
     max_depth: u32,
+    /// Deepest node of the kept trees: the depth shapes are planned at.
+    kept_depth: u32,
+    /// Nodes of the trees dropped for lacking a color of `D`; `reset`
+    /// cleans them with the preorder.
+    dropped: Vec<u32>,
     /// Preorder positions bucketed by `depth * |D| + local color index`
     /// (pooled `Vec`s, cleared on reset). Leaf shape nodes draw their
     /// candidates from here instead of scanning the preorder.
@@ -1346,6 +1439,8 @@ impl SubForest {
             pos: vec![0; n],
             roots: Vec::new(),
             max_depth: 0,
+            kept_depth: 0,
+            dropped: Vec::new(),
             buckets: Vec::new(),
             buckets_used: 0,
         }
@@ -1368,8 +1463,16 @@ impl SubForest {
         classes: impl Iterator<Item = &'b [u32]>,
         colors: &[u32],
         d_set: &[u32],
+        colorful_only: bool,
     ) {
         debug_assert!(self.preorder.is_empty(), "reset before rebuild");
+        let local = |v: u32| {
+            d_set
+                .iter()
+                .position(|&c| c == colors[v as usize])
+                .expect("forest node colored outside its color set")
+        };
+        let all_colors = (1u32 << d_set.len()) - 1;
         let mut members: Vec<u32> = Vec::new();
         for class in classes {
             for &v in class {
@@ -1382,11 +1485,13 @@ impl SubForest {
             if self.visited[start as usize] {
                 continue;
             }
+            let first = self.preorder.len();
+            let mut tree_colors = 1u32 << local(start);
+            let mut tree_depth = 0;
             self.visited[start as usize] = true;
             self.parent[start as usize] = start;
             self.depth[start as usize] = 0;
-            self.roots.push(start);
-            self.pos[start as usize] = self.preorder.len() as u32;
+            self.pos[start as usize] = first as u32;
             self.preorder.push(start);
             stack.push((start, 0));
             while let Some(&mut (v, ref mut idx)) = stack.last_mut() {
@@ -1398,8 +1503,10 @@ impl SubForest {
                     if self.active[w as usize] && !self.visited[w as usize] {
                         self.visited[w as usize] = true;
                         self.parent[w as usize] = v;
-                        self.depth[w as usize] = self.depth[v as usize] + 1;
-                        self.max_depth = self.max_depth.max(self.depth[w as usize]);
+                        let d = self.depth[v as usize] + 1;
+                        self.depth[w as usize] = d;
+                        tree_depth = tree_depth.max(d);
+                        tree_colors |= 1 << local(w);
                         self.children[v as usize].push(w);
                         self.pos[w as usize] = self.preorder.len() as u32;
                         self.preorder.push(w);
@@ -1412,25 +1519,29 @@ impl SubForest {
                     stack.pop();
                 }
             }
+            self.max_depth = self.max_depth.max(tree_depth);
+            if colorful_only && tree_colors != all_colors {
+                // The tree is one preorder run; its positions are never read.
+                self.dropped.extend(self.preorder.drain(first..));
+            } else {
+                self.roots.push(start);
+                self.kept_depth = self.kept_depth.max(tree_depth);
+            }
         }
-        // (depth, color) buckets over the finished preorder
+        // (depth, color) buckets over the kept preorder
         let dlen = d_set.len();
-        let need = (self.max_depth as usize + 1) * dlen;
+        let need = (self.kept_depth as usize + 1) * dlen;
         if self.buckets.len() < need {
             self.buckets.resize_with(need, Vec::new);
         }
         self.buckets_used = need;
         for (pos, &v) in self.preorder.iter().enumerate() {
-            let local = d_set
-                .iter()
-                .position(|&c| c == colors[v as usize])
-                .expect("forest node colored outside its color set");
-            self.buckets[self.depth[v as usize] as usize * dlen + local].push(pos as u32);
+            self.buckets[self.depth[v as usize] as usize * dlen + local(v)].push(pos as u32);
         }
     }
 
     fn reset(&mut self) {
-        for &v in &self.preorder {
+        for &v in self.preorder.iter().chain(&self.dropped) {
             self.parent[v as usize] = v;
             self.depth[v as usize] = 0;
             self.active[v as usize] = false;
@@ -1438,8 +1549,10 @@ impl SubForest {
             self.children[v as usize].clear();
         }
         self.preorder.clear();
+        self.dropped.clear();
         self.roots.clear();
         self.max_depth = 0;
+        self.kept_depth = 0;
         for b in &mut self.buckets[..self.buckets_used] {
             b.clear();
         }
@@ -1456,5 +1569,170 @@ impl SubForest {
             cd -= 1;
         }
         cur
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use agq_logic::{normalize, Expr, Formula};
+    use agq_semiring::Nat;
+    use agq_structure::Signature;
+
+    /// Two components: `0 - 1 - 2` colored 0, 1, 0 (carries both colors
+    /// of `D = {0, 1}`), and the path `3 - 4 - 5 - 6` colored 0 only, which
+    /// is deeper than the first.
+    fn two_components() -> (Graph, Vec<u32>, Vec<Vec<u32>>) {
+        let g = Graph::from_edges(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)]);
+        let colors = vec![0, 1, 0, 0, 0, 0, 0];
+        let classes = vec![vec![0, 2, 3, 4, 5, 6], vec![1]];
+        (g, colors, classes)
+    }
+
+    fn build(f: &mut SubForest, g: &Graph, colors: &[u32], classes: &[Vec<u32>], d_set: &[u32]) {
+        let classes = d_set.iter().map(|&c| classes[c as usize].as_slice());
+        f.build(g, classes, colors, d_set, true);
+    }
+
+    #[test]
+    fn sub_forest_keeps_only_colorful_trees() {
+        let (g, colors, classes) = two_components();
+        let mut f = SubForest::new(7);
+        build(&mut f, &g, &colors, &classes, &[0, 1]);
+        assert_eq!(f.roots, [0]);
+        assert_eq!(f.preorder, [0, 1, 2]);
+        assert_eq!(f.dropped, [3, 4, 5, 6]);
+        assert_eq!(f.kept_depth, 2);
+        assert_eq!(f.max_depth, 3, "the depth covers the dropped tree");
+        assert_eq!(f.bucket(1, 1, 2), [1], "node 1 at depth 1, color 1");
+        assert_eq!(
+            f.bucket(3, 0, 2),
+            [] as [u32; 0],
+            "no bucket past the kept depth"
+        );
+
+        // A second color set after `reset` sees no state of the first:
+        // without color 1, nodes 0 and 2 are separate one-node trees.
+        f.reset();
+        build(&mut f, &g, &colors, &classes, &[0]);
+        assert_eq!(f.roots, [0, 2, 3]);
+        assert_eq!(f.preorder, [0, 2, 3, 4, 5, 6]);
+        assert!(f.dropped.is_empty());
+        assert!(f.children[0].is_empty() && f.children[1].is_empty());
+        assert!(!f.active[1] && !f.visited[1], "node 1 is outside D = {{0}}");
+        assert_eq!((f.parent[2], f.depth[2]), (2, 0));
+        assert_eq!((f.max_depth, f.kept_depth), (3, 3));
+        f.reset();
+        assert!(f.active.iter().chain(&f.visited).all(|&b| !b));
+        assert!(f.children.iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn sub_forest_keeps_every_tree_when_not_pruning() {
+        let (g, colors, classes) = two_components();
+        let mut f = SubForest::new(7);
+        let class_slices = [0u32, 1].map(|c| classes[c as usize].as_slice());
+        f.build(&g, class_slices.into_iter(), &colors, &[0, 1], false);
+        assert_eq!(f.roots, [0, 3]);
+        assert_eq!(f.preorder.len(), 7);
+        assert!(f.dropped.is_empty());
+        assert_eq!((f.max_depth, f.kept_depth), (3, 3));
+    }
+
+    #[test]
+    fn connected_terms_table() {
+        let mut sig = Signature::new();
+        let e = sig.add_relation("E", 2);
+        let s = sig.add_relation("S", 1);
+        let (x, y, z) = (Var(0), Var(1), Var(2));
+        let edge = |p, q| Formula::Rel(e, vec![p, q]);
+        let mark = |p| Formula::Rel(s, vec![p]);
+        let twopath = edge(x, y).and(edge(y, z)).and(Formula::neq(x, z));
+        // (formula, query tuple, connected)
+        let cases: Vec<(Formula, Vec<Var>, bool)> = vec![
+            (twopath, vec![x, y, z], true),
+            (edge(x, y).and(mark(x)), vec![x, y], true),
+            (edge(x, y).and(mark(z)), vec![x, y, z], false),
+            (edge(x, y).and(edge(y, z).not()), vec![x, y, z], false),
+            (mark(x), vec![x, y], false),
+            (Formula::neq(x, y), vec![x, y], false),
+        ];
+        for (f, free, want) in cases {
+            let nf = normalize(&Expr::<Nat>::Bracket(f.clone())).unwrap();
+            let dterms: Vec<DistinctTerm<Nat>> = nf
+                .terms
+                .iter()
+                .flat_map(|t| expand_distinct(t, &free))
+                .collect();
+            assert_eq!(all_terms_connected(&dterms), want, "{f:?} at {free:?}");
+        }
+    }
+
+    #[test]
+    fn color_set_count_saturates() {
+        assert_eq!(num_color_sets(5, 0), 0);
+        assert_eq!(num_color_sets(5, 2), 5 + 10);
+        assert_eq!(num_color_sets(3, 8), 7, "p beyond the colors");
+        assert_eq!(
+            num_color_sets(233, 4),
+            233 + 27_028 + 2_081_156 + 119_666_470
+        );
+        assert_eq!(num_color_sets(usize::MAX, 8), usize::MAX);
+    }
+
+    #[test]
+    fn too_many_color_sets_is_a_typed_error() {
+        // A 4-regular graph on 256 vertices: two edge-disjoint random
+        // Hamiltonian cycles.
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let n = 256u32;
+        let mut rng = SmallRng::seed_from_u64(4);
+        let mut cycle = || {
+            let mut p: Vec<u32> = (0..n).collect();
+            for i in (1..n as usize).rev() {
+                p.swap(i, rng.gen_range(0..i + 1));
+            }
+            (0..n as usize)
+                .map(|i| (p[i], p[(i + 1) % n as usize]))
+                .collect::<Vec<_>>()
+        };
+        let first = cycle();
+        let key = |&(u, v): &(u32, u32)| (u.min(v), u.max(v));
+        let seen: std::collections::HashSet<_> = first.iter().map(key).collect();
+        let second = loop {
+            let c = cycle();
+            if c.iter().all(|t| !seen.contains(&key(t))) {
+                break c;
+            }
+        };
+        let mut sig = Signature::new();
+        let e = sig.add_relation("E", 2);
+        let mut a = Structure::new(Arc::new(sig), n as usize);
+        for (u, v) in first.into_iter().chain(second) {
+            a.insert(e, &[u, v]);
+            a.insert(e, &[v, u]);
+        }
+        let (w, x, y, z) = (Var(0), Var(1), Var(2), Var(3));
+        let f = Formula::Rel(e, vec![w, x])
+            .and(Formula::Rel(e, vec![x, y]))
+            .and(Formula::Rel(e, vec![y, z]));
+        let nf = normalize(&Expr::<Nat>::Bracket(f).sum_over([w, x, y, z])).unwrap();
+        let started = std::time::Instant::now();
+        let err = compile(&a, &nf, &CompileOptions::default()).map(|c| c.report.num_subsets);
+        let elapsed = started.elapsed();
+        match err {
+            Err(e @ CompileError::TooManyColorSets { sets, cap }) => {
+                assert_eq!(cap, MAX_COLOR_SETS);
+                assert!(sets > cap, "{sets} sets");
+                let msg = format!("{sets} color sets exceed the cap of {cap}");
+                assert!(e.to_string().starts_with(&msg), "{e}");
+            }
+            other => panic!("expected TooManyColorSets, got {other:?}"),
+        }
+        // The coloring dominates: ≈ 30 ms optimized, ≈ 15× that without
+        // optimizations. Enumerating the sets used to abort the process.
+        let limit = if cfg!(debug_assertions) { 10.0 } else { 1.0 };
+        assert!(elapsed.as_secs_f64() < limit, "refused after {elapsed:?}");
     }
 }

@@ -89,6 +89,15 @@ pub enum CompileError {
         /// The configured cap.
         cap: usize,
     },
+    /// The coloring leaves more color sets of at most `p` colors (`p` the
+    /// most variables of a term) than the compiler enumerates; refused
+    /// before any set is allocated.
+    TooManyColorSets {
+        /// `Σ_{1 ≤ i ≤ p} C(colors, i)`, saturating.
+        sets: usize,
+        /// The fixed cap on color sets.
+        cap: usize,
+    },
     /// A quantified subformula could not be eliminated: it has more than
     /// one free variable (outside the guarded fragment we support in
     /// place of the imported Theorem 3).
@@ -111,6 +120,11 @@ impl fmt::Display for CompileError {
             CompileError::TooManyShapes { cap } => {
                 write!(f, "shape enumeration exceeded the cap of {cap} shapes")
             }
+            CompileError::TooManyColorSets { sets, cap } => write!(
+                f,
+                "{sets} color sets exceed the cap of {cap}: the coloring has \
+                 too many colors for the query's variable count"
+            ),
             CompileError::UnsupportedQuantifier { formula } => write!(
                 f,
                 "cannot eliminate quantifier with ≥2 free variables: {formula}"

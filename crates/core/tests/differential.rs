@@ -668,3 +668,147 @@ fn compiled_circuits_emit_every_gate_once() {
         }
     }
 }
+
+/// Two random Hamiltonian cycles on `0..n`: a reg4-like graph (a vertex
+/// whose cycle edges coincide keeps degree < 4).
+fn reg4(n: usize, seed: u64) -> agq_graph::Graph {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut edges = Vec::with_capacity(2 * n);
+    for _ in 0..2 {
+        let mut p: Vec<u32> = (0..n as u32).collect();
+        for i in (1..n).rev() {
+            p.swap(i, rng.gen_range(0..i + 1));
+        }
+        edges.extend((0..n).map(|i| (p[i], p[(i + 1) % n])));
+    }
+    agq_graph::Graph::from_edges(n, edges)
+}
+
+/// An undirected graph as a structure: `E` holds both directions of every
+/// edge, `S` marks every third vertex; weights as in [`random_graph`].
+fn graph_structure(g: &agq_graph::Graph) -> Arc<Structure> {
+    let mut sig = Signature::new();
+    let e = sig.add_relation("E", 2);
+    let s = sig.add_relation("S", 1);
+    sig.add_weight("w", 1);
+    sig.add_weight("u", 1);
+    sig.add_weight("c", 2);
+    let mut a = Structure::new(Arc::new(sig), g.num_vertices());
+    for (u, v) in g.edges() {
+        a.insert(e, &[u, v]);
+        a.insert(e, &[v, u]);
+    }
+    for v in (0..g.num_vertices() as u32).step_by(3) {
+        a.insert(s, &[v]);
+    }
+    Arc::new(a)
+}
+
+#[test]
+fn connected_and_unconnected_queries_static_dynamic_brute_force() {
+    // Connected queries compile on the colorful trees of each G[D] only;
+    // the others, and any query with one unconnected term, on the whole
+    // forest. Both atom modes must agree with brute force either way.
+    use agq_graph::generators;
+    let graphs = [
+        ("reg4", reg4(40, 1)),
+        ("grid", generators::grid(6, 6)),
+        ("random forest", generators::random_forest(40, 2)),
+        ("star", generators::star(16)),
+    ];
+    for (name, g) in &graphs {
+        let a = graph_structure(g);
+        let sig = a.signature().clone();
+        let (e, s) = (sig.relation("E").unwrap(), sig.relation("S").unwrap());
+        let (wsym, usym, c) = (
+            sig.weight("w").unwrap(),
+            sig.weight("u").unwrap(),
+            sig.weight("c").unwrap(),
+        );
+        let (x, y, z) = (Var(0), Var(1), Var(2));
+        let edge = |p, q| Formula::Rel(e, vec![p, q]);
+        let mark = |p| Formula::Rel(s, vec![p]);
+        let queries: Vec<(&str, Expr<Nat>)> = vec![
+            (
+                "twopath",
+                Expr::Bracket(edge(x, y).and(edge(y, z)).and(Formula::neq(x, z)))
+                    .sum_over([x, y, z]),
+            ),
+            (
+                "marked edge",
+                Expr::Bracket(edge(x, y).and(mark(x)))
+                    .times(Expr::Weight(wsym, vec![y]))
+                    .sum_over([x, y]),
+            ),
+            (
+                "edge cost",
+                Expr::Bracket(edge(x, y))
+                    .times(Expr::Weight(c, vec![x, y]))
+                    .times(Expr::Weight(wsym, vec![x]))
+                    .sum_over([x, y]),
+            ),
+            (
+                "marked neighbour of free x",
+                Expr::Bracket(edge(x, y).and(mark(y)))
+                    .times(Expr::Weight(wsym, vec![y]))
+                    .sum_over([y]),
+            ),
+            (
+                "edge and a far mark",
+                Expr::Bracket(edge(x, y).and(mark(z))).sum_over([x, y, z]),
+            ),
+            (
+                "edge and a non-edge",
+                Expr::Bracket(edge(x, y).and(edge(y, z).not())).sum_over([x, y, z]),
+            ),
+            (
+                "distinct pairs",
+                Expr::Bracket(Formula::neq(x, y))
+                    .times(Expr::Weight(wsym, vec![x]))
+                    .times(Expr::Weight(usym, vec![y]))
+                    .sum_over([x, y]),
+            ),
+            (
+                "mixed disjunction",
+                Expr::Bracket(edge(x, y).and(edge(y, z)).or(edge(x, y).and(mark(z))))
+                    .sum_over([x, y, z]),
+            ),
+            (
+                "free pair, unlinked",
+                Expr::Bracket(mark(x)).times(Expr::Weight(usym, vec![y])),
+            ),
+        ];
+        let w = nat_weights(&a, 5);
+        for (qname, expr) in &queries {
+            let nf = normalize(expr).unwrap();
+            let free = nf.free_vars();
+            let points: Vec<Vec<u32>> = match free.len() {
+                0 => vec![vec![]],
+                1 => (0..a.domain_size() as u32).map(|v| vec![v]).collect(),
+                _ => (0..a.domain_size() as u32)
+                    .flat_map(|u| (0..a.domain_size() as u32).map(move |v| vec![u, v]))
+                    .collect(),
+            };
+            for dynamic_atoms in [false, true] {
+                let opts = CompileOptions {
+                    dynamic_atoms,
+                    ..Default::default()
+                };
+                let compiled = compile(&a, &nf, &opts).unwrap();
+                let mut engine: GeneralEngine<Nat> = GeneralEngine::new(compiled, &w);
+                for p in &points {
+                    let got = if free.is_empty() {
+                        *engine.value()
+                    } else {
+                        engine.query(p)
+                    };
+                    let expect = agq_baseline::eval_at(expr, &w, &free, p);
+                    assert_eq!(
+                        got, expect,
+                        "{name}, {qname} at {p:?}, dynamic_atoms={dynamic_atoms}"
+                    );
+                }
+            }
+        }
+    }
+}
